@@ -8,8 +8,9 @@ requests; this package extends it to generation:
   a sampled ``output_len`` and records carrying TTFT / inter-token latency.
 * :mod:`~repro.decode.output_lengths` -- registered ``output-length``
   distributions (``fixed``, ``uniform``, ``geometric``).
-* :func:`simulate_decode_online` -- the two-phase engine: prefill through
-  the existing dispatch path, then iteration-level continuous batching over
+* :func:`simulate_decode_online` -- the two-phase engine, a phase
+  (:class:`~repro.decode.engine.DecodePhase`) of the serving event loop:
+  prefill as an ordinary batch, then iteration-level continuous batching over
   :meth:`~repro.devices.Device.decode_step_latency_seconds`, with
   token-level KV-cache admission on devices built with ``kv_cache_bytes``.
 * The ``decode-sweep`` experiment (:mod:`~repro.decode.sweep`) -- TTFT /

@@ -1,12 +1,16 @@
 """Iteration-level continuous batching for autoregressive decode workloads.
 
 :func:`simulate_decode_online` generalizes the encoder engine
-(:func:`~repro.serving.engine.simulate_online`) to two-phase requests:
+(:func:`~repro.serving.engine.simulate_online`) to two-phase requests.  It
+runs the encoder engine's own event loop over the shared
+:class:`~repro.serving.core.DispatchCore`; all it brings is
+:class:`DecodePhase`, the core's per-run phase for two-phase requests:
 
-* **Prefill** runs through the *identical* dispatch path as an encoder
-  batch -- batch policy, router, per-device admission limits, the device's
-  own ``execute`` cost model -- and produces the request's first token
-  (TTFT = prefill completion).
+* **Prefill** *is* an encoder batch -- batch policy, router, per-device
+  admission limits, the device's own ``execute`` cost model, batch records
+  and device accounting -- and produces the request's first token
+  (TTFT = prefill completion).  The phase only admits it against the KV
+  cache and decides where its requests land.
 * **Decode** then generates the remaining ``output_len - 1`` tokens one
   iteration at a time: every step costs
   :meth:`~repro.devices.Device.decode_step_latency_seconds` over the running
@@ -25,9 +29,9 @@ releases it on completion (gang end in request-level mode).  A batch that
 does not fit waits for releases; a request that could never fit an empty
 cache raises immediately.
 
-With every ``output_len == 1`` there is no decode phase, no joiner, and no
+With every ``output_len == 1`` there is no decode step, no joiner, and no
 KV event: the loop's trajectory is the encoder engine's, record for record
--- the property tests pin this reduction down exactly.
+-- the property tests pin this reduction down on the whole report payload.
 """
 
 from __future__ import annotations
@@ -42,17 +46,15 @@ import numpy as np
 from .. import config as global_config
 from ..devices import BatchExecution, Device
 from ..hardware.accelerator import Accelerator
-from ..transformer.configs import DatasetConfig, get_dataset_config
+from ..transformer.configs import DatasetConfig
 from ..serving.arrivals import ArrivalProcess
-from ..serving.clock import SimClock
-from ..serving.classes import collect_class_stats
-from ..serving.core import _EPS, DispatchCore, collect_device_stats, prepare_components
+from ..serving.core import _EPS, DispatchCore, EncoderPhase, prepare_components
 from ..serving.engine import (
-    BatchRecord,
-    DeviceSummary,
     OnlineServingReport,
-    _as_fleet,
+    _device_summaries,
     _fleet_scheduler_label,
+    _prepare_fleet,
+    _run_event_loop,
 )
 from ..serving.policies import BatchPolicy
 from ..serving.request import Request
@@ -66,7 +68,7 @@ from .output_lengths import (
 )
 from .request import DecodeRequest, DecodeRequestRecord
 
-__all__ = ["DecodeServingReport", "simulate_decode_online"]
+__all__ = ["DecodePhase", "DecodeServingReport", "simulate_decode_online"]
 
 
 @dataclass
@@ -90,6 +92,17 @@ class _RunningRequest:
     @property
     def done(self) -> bool:
         return self.generated >= self.request.output_len
+
+    def record(self, device_index: int, completion_time: float) -> DecodeRequestRecord:
+        return DecodeRequestRecord(
+            request=self.request,
+            dispatch_time=self.dispatch_time,
+            start_time=self.start_time,
+            completion_time=completion_time,
+            device_index=device_index,
+            batch_id=self.batch_id,
+            first_token_time=self.ready_time,
+        )
 
 
 @dataclass
@@ -146,21 +159,6 @@ class DecodeServingReport(OnlineServingReport):
         if self.makespan_seconds <= 0:
             return 0.0
         return self.total_output_tokens / self.makespan_seconds
-
-    def steady_tokens_per_second(self, warmup_fraction: float = 0.0) -> float:
-        """Token throughput over the post-warm-up window."""
-        if warmup_fraction == 0.0:
-            return self.sustained_tokens_per_second
-        records = self.steady_records(warmup_fraction)
-        if not records:
-            return 0.0
-        cutoff = warmup_fraction * self.arrival_horizon_seconds
-        start = min(cutoff, min(r.request.arrival_time for r in records))
-        window = max(r.completion_time for r in records) - start
-        if window <= 0:
-            return 0.0
-        tokens = sum(getattr(r, "num_output_tokens", 1) for r in records)
-        return tokens / window
 
     # ------------------------------------------------------------------
     # TTFT / inter-token latency
@@ -242,11 +240,211 @@ class DecodeServingReport(OnlineServingReport):
         return row
 
 
-def _kv_reservation_bytes(request: DecodeRequest, per_token: int) -> int:
-    """Bytes a request holds in the KV cache from prefill to completion:
-    its prompt plus every token it will generate (conservative by exactly
-    the final token, whose KV is written but never read)."""
-    return request.total_tokens * per_token
+class DecodePhase(EncoderPhase):
+    """The two-phase (prefill/decode) phase of the shared event loop.
+
+    Prefill is an ordinary batch of the dispatch core: this phase only adds
+    KV admission to it and decides where its requests land -- a finished
+    :class:`DecodeRequestRecord` for ``output_len == 1``, otherwise a joiner
+    waiting for its device's next decode step.  Around each pump it retires
+    due KV releases and decode steps and starts new steps; the steps'
+    bookkeeping is the only state it owns.
+    """
+
+    def __init__(
+        self, fleet: list[Device], report: DecodeServingReport, iteration_level: bool
+    ) -> None:
+        self.fleet = fleet
+        self.report = report
+        self.iteration_level = iteration_level
+        self.states = [_DeviceDecodeState() for _ in fleet]
+
+    def _drain_kv_releases(self, index: int, now: float) -> None:
+        state = self.states[index]
+        while state.release_heap and state.release_heap[0][0] <= now + _EPS:
+            _, nbytes = heapq.heappop(state.release_heap)
+            state.reserved_bytes -= nbytes
+
+    def admit(self, index: int, batch: list[DecodeRequest], now: float) -> int:
+        """Requests to dispatch now: all-or-nothing up to a capacity chunk.
+
+        The target prefix is the longest that fits an *empty* cache (a
+        whole formed batch can exceed total capacity); it dispatches only
+        once the cache has room for all of it at once.  Admitting eagerly
+        whenever a single slot frees would fragment prefill into tiny
+        batches, which a weight-streaming accelerator pays for dearly --
+        deferring (return 0) keeps prefill batches capacity-sized.
+        """
+        device = self.fleet[index]
+        if device.kv_cache_bytes is None:
+            return len(batch)
+        per_token = device.kv_bytes_per_token()
+        self._drain_kv_releases(index, now)
+        free = device.kv_cache_bytes - self.states[index].reserved_bytes
+        target = need_total = 0
+        for request in batch:
+            need = request.total_tokens * per_token
+            if need > device.kv_cache_bytes:
+                raise ValueError(
+                    f"request {request.request_id} needs {need} KV bytes "
+                    f"({request.length}+{request.output_len} tokens) but device "
+                    f"'{device.name}' caps its cache at {device.kv_cache_bytes}; "
+                    "raise kv_cache_bytes or bound the output-length distribution"
+                )
+            if need_total + need > device.kv_cache_bytes:
+                break
+            need_total += need
+            target += 1
+        if need_total > free:
+            # The capacity-sized chunk does not fit yet: the whole batch
+            # waits at the queue head for a KV release.
+            self.report.num_kv_stalls += 1
+            return 0
+        if target < len(batch):
+            self.report.num_kv_stalls += 1
+        return target
+
+    def land(self, report, planned) -> None:
+        """Reserve each prefilled request's KV: its prompt plus every token
+        it will generate (conservative by exactly the final token, whose KV
+        is written but never read).  A request whose only token came from
+        prefill completes now, as an encoder request would, and its KV frees
+        at completion; the rest wait to join a decode step."""
+        index = planned.device_index
+        device = self.fleet[index]
+        state = self.states[index]
+        per_token = device.kv_bytes_per_token()
+        for position, request in enumerate(planned.requests):
+            member = _RunningRequest(
+                request=request,
+                dispatch_time=planned.dispatch_time,
+                start_time=planned.start_time,
+                batch_id=planned.batch_id,
+                ready_time=planned.start_time + planned.execution.completion_offsets[position],
+            )
+            if device.kv_cache_bytes is not None:
+                state.reserved_bytes += request.total_tokens * per_token
+                state.kv_peak_bytes = max(state.kv_peak_bytes, state.reserved_bytes)
+            if not member.done:
+                state.joiners.append(member)
+                continue
+            report.records.append(member.record(index, member.ready_time))
+            if device.kv_cache_bytes is not None:
+                heapq.heappush(
+                    state.release_heap, (member.ready_time, request.total_tokens * per_token)
+                )
+
+    def before_pump(self, now: float) -> None:
+        """Free due KV releases and retire decode steps that have ended."""
+        for index, state in enumerate(self.states):
+            if self.fleet[index].kv_cache_bytes is not None:
+                self._drain_kv_releases(index, now)
+            if state.step_end is not None and state.step_end <= now + _EPS:
+                self._finish_step(index, state.step_end)
+
+    def _finish_step(self, index: int, step_end: float) -> None:
+        state = self.states[index]
+        device = self.fleet[index]
+        per_token = device.kv_bytes_per_token()
+        still_running: list[_RunningRequest] = []
+        for member in state.step_members:
+            member.generated += 1
+            state.decode_tokens += 1
+            if not member.done:
+                still_running.append(member)
+                continue
+            self.report.records.append(member.record(index, step_end))
+            if device.kv_cache_bytes is None:
+                continue
+            if self.iteration_level:
+                state.reserved_bytes -= member.request.total_tokens * per_token
+            else:
+                state.gang_done.append(member)
+        state.running = still_running
+        state.step_members = []
+        state.step_end = None
+        if not self.iteration_level and not state.running and state.gang_done:
+            # Request-level batching: the gang's KV (only ever held on a
+            # capped cache) frees once every member has finished.
+            for member in state.gang_done:
+                state.reserved_bytes -= member.request.total_tokens * per_token
+            state.gang_done = []
+
+    def after_pump(self, now: float) -> None:
+        """Start a decode step on every idle device with requests to run."""
+        for index, state in enumerate(self.states):
+            if state.step_end is None:
+                self._start_step(index, state, now)
+
+    def _start_step(self, index: int, state: _DeviceDecodeState, now: float) -> None:
+        device = self.fleet[index]
+        # Join: iteration-level admits at any step boundary; request-level
+        # only into an empty (fully drained) batch.
+        if state.joiners and (self.iteration_level or not state.running):
+            ready = [j for j in state.joiners if j.ready_time <= now + _EPS]
+            if ready:
+                ready.sort(key=lambda j: (j.ready_time, j.request.request_id))
+                slots = (
+                    len(ready)
+                    if device.max_batch_size is None
+                    else max(device.max_batch_size - len(state.running), 0)
+                )
+                joining = ready[:slots]
+                if joining:
+                    joined = {id(j) for j in joining}
+                    state.joiners = [j for j in state.joiners if id(j) not in joined]
+                    state.running.extend(joining)
+        if not state.running:
+            return
+        contexts = [member.context_length for member in state.running]
+        latency = device.decode_step_latency_seconds(contexts)
+        start = device.next_start(now)
+        execution = BatchExecution(
+            device=device.name,
+            lengths=contexts,
+            latency_seconds=latency,
+            completion_offsets=[latency] * len(contexts),
+            admit_seconds=latency,
+        )
+        device.dispatch(execution, start)
+        state.step_members = list(state.running)
+        state.step_end = start + latency
+        state.num_steps += 1
+
+    def next_event_time(self) -> float:
+        next_event = math.inf
+        for state in self.states:
+            if state.step_end is not None:
+                next_event = min(next_event, state.step_end)
+            elif state.joiners:
+                next_event = min(next_event, min(j.ready_time for j in state.joiners))
+            if state.release_heap:
+                next_event = min(next_event, state.release_heap[0][0])
+        return next_event
+
+    def has_work(self) -> bool:
+        return any(s.running or s.joiners or s.step_end is not None for s in self.states)
+
+    def finish(self, report) -> list[bool]:
+        """Land the per-device decode accounting; a device that only ran
+        decode steps still did work (and is charged energy for it)."""
+        for index, device in enumerate(self.fleet):
+            state = self.states[index]
+            report.decode_devices.append(
+                {
+                    "device": index,
+                    "num_decode_steps": state.num_steps,
+                    "decode_tokens": state.decode_tokens,
+                    "kv_cache_bytes": device.kv_cache_bytes,
+                    "kv_peak_bytes": (
+                        state.kv_peak_bytes if device.kv_cache_bytes is not None else None
+                    ),
+                }
+            )
+        return [
+            report.devices[i].num_batches > 0 or state.num_steps > 0
+            for i, state in enumerate(self.states)
+        ]
 
 
 def simulate_decode_online(
@@ -290,13 +488,7 @@ def simulate_decode_online(
     ``kv_cache_bytes`` enforce token-level KV admission as described in the
     module docstring.
     """
-    if isinstance(dataset, str):
-        dataset = get_dataset_config(dataset)
-    fleet = _as_fleet(devices, scheduler)
-    if not fleet:
-        raise ValueError("need at least one device")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+    dataset, fleet = _prepare_fleet(devices, dataset, scheduler, max_queue_depth)
     for device in fleet:
         if not device.supports_decode():
             raise ValueError(
@@ -344,16 +536,8 @@ def simulate_decode_online(
         slo=slo.to_dict() if slo is not None else None,
         iteration_level=iteration_level,
         output_lengths=output_label,
-        devices=[
-            DeviceSummary(index=i, accelerator=device.name, backend=device.backend)
-            for i, device in enumerate(fleet)
-        ],
+        devices=_device_summaries(fleet),
     )
-
-    states = [_DeviceDecodeState() for _ in fleet]
-    # The core owns the formation queue and shed/admission accounting; the
-    # decode engine keeps its own dispatch path (KV-admitted prefill feeding
-    # the per-device decode states) and so never calls core.dispatch.
     core = DispatchCore(
         fleet,
         report,
@@ -363,306 +547,6 @@ def simulate_decode_online(
         shed_on_predicted_miss=shed_on_predicted_miss,
         class_queue_limits=class_queue_limits,
     )
-    queue = core.queue
-
-    def drain_kv_releases(index: int, now: float) -> None:
-        state = states[index]
-        while state.release_heap and state.release_heap[0][0] <= now + _EPS:
-            _, nbytes = heapq.heappop(state.release_heap)
-            state.reserved_bytes -= nbytes
-
-    def reserve_kv(index: int, nbytes: int) -> None:
-        state = states[index]
-        state.reserved_bytes += nbytes
-        state.kv_peak_bytes = max(state.kv_peak_bytes, state.reserved_bytes)
-
-    def kv_admission_plan(index: int, batch: list[DecodeRequest], now: float) -> int:
-        """Requests to dispatch now: all-or-nothing up to a capacity chunk.
-
-        The target prefix is the longest that fits an *empty* cache (a
-        whole formed batch can exceed total capacity); it dispatches only
-        once the cache has room for all of it at once.  Admitting eagerly
-        whenever a single slot frees would fragment prefill into tiny
-        batches, which a weight-streaming accelerator pays for dearly --
-        deferring (return 0) keeps prefill batches capacity-sized.
-        """
-        device = fleet[index]
-        if device.kv_cache_bytes is None:
-            return len(batch)
-        per_token = device.kv_bytes_per_token()
-        drain_kv_releases(index, now)
-        free = device.kv_cache_bytes - states[index].reserved_bytes
-        target = 0
-        need_total = 0
-        for request in batch:
-            need = _kv_reservation_bytes(request, per_token)
-            if need > device.kv_cache_bytes:
-                raise ValueError(
-                    f"request {request.request_id} needs {need} KV bytes "
-                    f"({request.length}+{request.output_len} tokens) but device "
-                    f"'{device.name}' caps its cache at {device.kv_cache_bytes}; "
-                    "raise kv_cache_bytes or bound the output-length distribution"
-                )
-            if need_total + need > device.kv_cache_bytes:
-                break
-            need_total += need
-            target += 1
-        return target if need_total <= free else 0
-
-    def dispatch_prefill(batch: list[DecodeRequest], now: float) -> bool:
-        """Run one formed batch's prefill; False = KV-full, batch requeued."""
-        index = router.select(fleet, batch, now)
-        if not 0 <= index < len(fleet):
-            raise IndexError(f"router '{router.name}' picked invalid device {index}")
-        device = fleet[index]
-        state = states[index]
-        admitted = device.admissible_prefix([r.length for r in batch])
-        kv_take = kv_admission_plan(index, batch[:admitted], now)
-        if kv_take == 0:
-            # The capacity-sized chunk does not fit yet: hand the whole
-            # batch back to the queue head and wait for a KV release.
-            report.num_kv_stalls += 1
-            queue[:0] = batch
-            return False
-        if kv_take < admitted:
-            report.num_kv_stalls += 1
-        if admitted < len(batch):
-            report.num_limit_splits += 1
-        if kv_take < len(batch):
-            queue[:0] = batch[kv_take:]
-            batch = batch[:kv_take]
-        per_token = device.kv_bytes_per_token()
-        start = device.next_start(now)
-        execution = device.execute([r.length for r in batch])
-        core.note_pending_starts(start, len(batch), now)
-        batch_id = len(report.batches)
-        for position, request in enumerate(batch):
-            first_token = start + execution.completion_offsets[position]
-            if device.kv_cache_bytes is not None:
-                reserve_kv(index, _kv_reservation_bytes(request, per_token))
-            if request.output_len == 1:
-                # Prefill produced the only token: the request completes as
-                # an encoder request would, and its KV frees at completion.
-                report.records.append(
-                    DecodeRequestRecord(
-                        request=request,
-                        dispatch_time=now,
-                        start_time=start,
-                        completion_time=first_token,
-                        device_index=index,
-                        batch_id=batch_id,
-                        first_token_time=first_token,
-                    )
-                )
-                if device.kv_cache_bytes is not None:
-                    heapq.heappush(
-                        state.release_heap,
-                        (first_token, _kv_reservation_bytes(request, per_token)),
-                    )
-            else:
-                state.joiners.append(
-                    _RunningRequest(
-                        request=request,
-                        dispatch_time=now,
-                        start_time=start,
-                        batch_id=batch_id,
-                        ready_time=first_token,
-                    )
-                )
-        report.batches.append(
-            BatchRecord(
-                batch_id=batch_id,
-                device_index=index,
-                dispatch_time=now,
-                start_time=start,
-                execution=execution,
-                request_ids=[r.request_id for r in batch],
-            )
-        )
-        device.dispatch(execution, start)
-        summary = report.devices[index]
-        summary.num_batches += 1
-        summary.num_requests += len(batch)
-        if execution.utilization is not None:
-            summary.pipeline_utilizations.append(execution.utilization)
-        if execution.energy_joules is not None and device.served_energy_joules() is None:
-            summary.energy_joules = (summary.energy_joules or 0.0) + execution.energy_joules
-        return True
-
-    def finish_step(index: int, step_end: float) -> None:
-        state = states[index]
-        device = fleet[index]
-        per_token = device.kv_bytes_per_token()
-        still_running: list[_RunningRequest] = []
-        for member in state.step_members:
-            member.generated += 1
-            state.decode_tokens += 1
-            if member.done:
-                report.records.append(
-                    DecodeRequestRecord(
-                        request=member.request,
-                        dispatch_time=member.dispatch_time,
-                        start_time=member.start_time,
-                        completion_time=step_end,
-                        device_index=index,
-                        batch_id=member.batch_id,
-                        first_token_time=member.ready_time,
-                    )
-                )
-                if device.kv_cache_bytes is None:
-                    pass
-                elif iteration_level:
-                    state.reserved_bytes -= _kv_reservation_bytes(
-                        member.request, per_token
-                    )
-                else:
-                    state.gang_done.append(member)
-            else:
-                still_running.append(member)
-        state.running = still_running
-        state.step_members = []
-        state.step_end = None
-        if not iteration_level and not state.running and state.gang_done:
-            # Request-level batching: the gang's KV frees only once every
-            # member has finished.
-            if device.kv_cache_bytes is not None:
-                for member in state.gang_done:
-                    state.reserved_bytes -= _kv_reservation_bytes(
-                        member.request, per_token
-                    )
-            state.gang_done = []
-
-    def maybe_start_step(index: int, now: float) -> None:
-        state = states[index]
-        device = fleet[index]
-        if state.step_end is not None:
-            return
-        # Join: iteration-level admits at any step boundary; request-level
-        # only into an empty (fully drained) batch.
-        if state.joiners and (iteration_level or not state.running):
-            ready = [j for j in state.joiners if j.ready_time <= now + _EPS]
-            if ready:
-                ready.sort(key=lambda j: (j.ready_time, j.request.request_id))
-                slots = (
-                    len(ready)
-                    if device.max_batch_size is None
-                    else max(device.max_batch_size - len(state.running), 0)
-                )
-                joining = ready[:slots]
-                if joining:
-                    joined = {id(j) for j in joining}
-                    state.joiners = [j for j in state.joiners if id(j) not in joined]
-                    state.running.extend(joining)
-        if not state.running:
-            return
-        contexts = [member.context_length for member in state.running]
-        latency = device.decode_step_latency_seconds(contexts)
-        start = device.next_start(now)
-        execution = BatchExecution(
-            device=device.name,
-            lengths=contexts,
-            latency_seconds=latency,
-            completion_offsets=[latency] * len(contexts),
-            admit_seconds=latency,
-        )
-        device.dispatch(execution, start)
-        state.step_members = list(state.running)
-        state.step_end = start + latency
-        state.num_steps += 1
-
-    depth_timeline = report.queue_depth_timeline
-    clock = SimClock()
-    next_index = 0
-    total = len(requests)
-
-    def decode_active() -> bool:
-        return any(
-            s.running or s.joiners or s.step_end is not None for s in states
-        )
-
-    while next_index < total or queue or decode_active():
-        now = clock.now()
-        while next_index < total and requests[next_index].arrival_time <= now + _EPS:
-            core.offer(requests[next_index], now)
-            next_index += 1
-        core.note_queue_depth(now)
-
-        for index, state in enumerate(states):
-            if fleet[index].kv_cache_bytes is not None:
-                drain_kv_releases(index, now)
-            if state.step_end is not None and state.step_end <= now + _EPS:
-                finish_step(index, state.step_end)
-
-        draining = next_index >= total
-        kv_blocked = False
-        while True:
-            batch = batch_policy.form_batch(queue, now, draining)
-            if batch is None:
-                break
-            if not batch:
-                raise RuntimeError(
-                    f"batch policy '{batch_policy.name}' formed an empty batch"
-                )
-            if not dispatch_prefill(batch, now):
-                kv_blocked = True
-                depth_timeline.append((now, len(queue)))
-                break
-            depth_timeline.append((now, len(queue)))
-        core.collect_policy_shed()
-
-        for index in range(len(fleet)):
-            maybe_start_step(index, now)
-
-        if next_index >= total and not queue and not decode_active():
-            break
-        next_event = requests[next_index].arrival_time if next_index < total else math.inf
-        deadline = core.next_action_time(now)
-        if deadline is not None and not (kv_blocked and deadline <= now + _EPS):
-            next_event = min(next_event, deadline)
-        for state in states:
-            if state.step_end is not None:
-                next_event = min(next_event, state.step_end)
-            elif state.joiners:
-                next_event = min(
-                    next_event, min(j.ready_time for j in state.joiners)
-                )
-            if state.release_heap:
-                next_event = min(next_event, state.release_heap[0][0])
-        if math.isinf(next_event):
-            raise RuntimeError(
-                f"batch policy '{batch_policy.name}' left {len(queue)} requests stranded"
-            )
-        if next_event <= now + _EPS and draining and not decode_active():
-            raise RuntimeError(
-                f"batch policy '{batch_policy.name}' is not making progress"
-            )
-        clock.advance_to(next_event)
-
-    collect_device_stats(
-        report,
-        fleet,
-        active=[
-            report.devices[i].num_batches > 0 or states[i].num_steps > 0
-            for i in range(len(fleet))
-        ],
-    )
-    for index, device in enumerate(fleet):
-        report.decode_devices.append(
-            {
-                "device": index,
-                "num_decode_steps": states[index].num_steps,
-                "decode_tokens": states[index].decode_tokens,
-                "kv_cache_bytes": device.kv_cache_bytes,
-                "kv_peak_bytes": (
-                    states[index].kv_peak_bytes
-                    if device.kv_cache_bytes is not None
-                    else None
-                ),
-            }
-        )
-    report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
-    preemptions = getattr(batch_policy, "num_preemptions", None)
-    if preemptions is not None:
-        report.num_preemptions = preemptions
-    collect_class_stats(report)
+    core.phase = DecodePhase(fleet, report, iteration_level)
+    _run_event_loop(core, fleet, requests)
     return report

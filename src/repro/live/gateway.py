@@ -40,12 +40,17 @@ from ..serving.core import (
     note_shed,
     prepare_components,
 )
-from ..serving.engine import DeviceSummary, OnlineServingReport, _as_fleet, _fleet_scheduler_label
+from ..serving.engine import (
+    OnlineServingReport,
+    _device_summaries,
+    _fleet_scheduler_label,
+    _prepare_fleet,
+)
 from ..serving.policies import BatchPolicy
 from ..serving.request import Request, RequestRecord
 from ..serving.routing import Router
 from ..serving.slo import SLOSpec
-from ..transformer.configs import DatasetConfig, get_dataset_config
+from ..transformer.configs import DatasetConfig
 from .actors import DeviceActor
 
 __all__ = ["LiveGateway", "SubmitResult"]
@@ -108,13 +113,7 @@ class LiveGateway:
         hedging: bool = False,
         class_queue_limits: dict[str, int] | None = None,
     ) -> None:
-        if isinstance(dataset, str):
-            dataset = get_dataset_config(dataset)
-        fleet = _as_fleet(devices, None)
-        if not fleet:
-            raise ValueError("need at least one device")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+        dataset, fleet = _prepare_fleet(devices, dataset, None, max_queue_depth)
         batch_policy, router = prepare_components(batch_policy, router, fleet, dataset)
         for device in fleet:
             device.reset(continuous_batching=continuous_batching)
@@ -134,10 +133,7 @@ class LiveGateway:
             continuous_batching=continuous_batching,
             queue_limit=max_queue_depth,
             slo=slo.to_dict() if slo is not None else None,
-            devices=[
-                DeviceSummary(index=i, accelerator=device.name, backend=device.backend)
-                for i, device in enumerate(fleet)
-            ],
+            devices=_device_summaries(fleet),
         )
         # The gateway finalizes batches itself (auto_finalize=False): records
         # land only after the device actor has slept through the execution.

@@ -10,7 +10,8 @@ sockets instead of simulated events, so the loop lives here as
 
 * the **simulator** feeds arrivals from a pre-generated stream, pumps the
   core at every event instant, and finalizes each planned batch immediately
-  (completion times are fully determined at dispatch);
+  (completion times are fully determined at dispatch) -- one event loop
+  for encoder and decode runs alike;
 * the **live gateway** feeds arrivals from HTTP ingest, pumps the core from
   an asyncio dispatcher task, and hands each :class:`PlannedBatch` to a
   device actor that sleeps until the predicted completion before finalizing
@@ -23,6 +24,14 @@ same report -- a trace replayed through both produces the same attainment /
 goodput / shed accounting up to wall-clock jitter, which is the validation
 contract the live subsystem is built around.
 
+What a request *is* -- single-pass (encoder) or prefill-then-decode -- is
+the core's per-run **phase**.  :class:`EncoderPhase` is the default and
+what the live gateway runs; the decode engine swaps in
+:class:`~repro.decode.engine.DecodePhase`, which admits a routed batch
+against the device's KV cache, lands its requests as decode joiners, and
+runs the decode steps between pumps.  Routing, limit splits, costing,
+batch records and the device summaries stay here, shared by both.
+
 The core also implements **deadline-aware admission at arrival**
 (``shed_on_predicted_miss``): an arriving request is shed immediately when
 no device's earliest start plus its single-request service estimate can meet
@@ -34,8 +43,9 @@ arrival-time sibling of the EDF batcher's provably-late shedding.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..devices import BatchExecution, Device
 from .arrivals import ArrivalProcess
@@ -46,6 +56,7 @@ from .slo import SLOSpec, assign_deadlines
 
 __all__ = [
     "DispatchCore",
+    "EncoderPhase",
     "PlannedBatch",
     "PredictedMissGate",
     "collect_device_stats",
@@ -201,13 +212,62 @@ class PlannedBatch:
         return self.start_time + self.execution.latency_seconds
 
 
+class EncoderPhase:
+    """The single-pass phase: a batch's records are final once it is costed.
+
+    A phase is what depends on what a request *is*.  The core asks it how
+    many of a routed batch -- already cut to the device's admissible prefix
+    -- to take now (``admit``; 0 blocks formation at this instant), and
+    lands a finished batch's requests through it (``land``).  The
+    simulator's event loop runs ``before_pump`` / ``after_pump`` at every
+    event, asks ``next_event_time`` / ``has_work`` whether and when to go
+    on, and takes the per-device "did work" override of
+    :func:`collect_device_stats` from ``finish``.  This default phase adds
+    nothing but its records; :class:`~repro.decode.engine.DecodePhase` is
+    the two-phase (prefill/decode) one.
+    """
+
+    def admit(self, index: int, batch: list[Request], now: float) -> int:
+        return len(batch)
+
+    def land(self, report, planned: PlannedBatch) -> None:
+        for position, request in enumerate(planned.requests):
+            report.records.append(
+                RequestRecord(
+                    request=request,
+                    dispatch_time=planned.dispatch_time,
+                    start_time=planned.start_time,
+                    completion_time=planned.start_time
+                    + planned.execution.completion_offsets[position],
+                    device_index=planned.device_index,
+                    batch_id=planned.batch_id,
+                )
+            )
+
+    def before_pump(self, now: float) -> None:
+        pass
+
+    def after_pump(self, now: float) -> None:
+        pass
+
+    def next_event_time(self) -> float:
+        return math.inf
+
+    def has_work(self) -> bool:
+        return False
+
+    def finish(self, report) -> list[bool] | None:
+        return None
+
+
 class DispatchCore:
     """One policy/routing/accounting loop, driven by a sim or wall clock.
 
     The core owns the central formation queue and every counter on the
     report that the serving loop touches; the driver owns time (when to
     ``offer`` arrivals and when to ``pump``) and, through ``auto_finalize``,
-    when a planned batch's records land in the report.
+    when a planned batch's records land in the report.  What admission and
+    landing mean per request is the :attr:`phase`'s business.
     """
 
     def __init__(
@@ -251,6 +311,10 @@ class DispatchCore:
         self._take_shed = getattr(batch_policy, "take_shed", None)
         self._miss_gate = PredictedMissGate(fleet) if shed_on_predicted_miss else None
         self._next_batch_id = 0
+        #: The run's phase; a two-phase driver replaces it before the first pump.
+        self.phase = EncoderPhase()
+        #: The phase refused a batch during the current pump.
+        self._blocked = False
 
     # ------------------------------------------------------------------
     # Ingest / admission
@@ -298,47 +362,45 @@ class DispatchCore:
     def note_queue_depth(self, now: float) -> None:
         self.report.queue_depth_timeline.append((now, len(self.queue)))
 
-    def note_pending_starts(self, start: float, count: int, now: float) -> None:
-        """Register dispatched-not-yet-started requests for admission control.
-
-        Engines with a custom dispatch path (the decode engine's KV-admitted
-        prefill) call this instead of :meth:`dispatch`; only admission
-        control reads the waiting population, so the bookkeeping is skipped
-        entirely when no limit is set.
-        """
-        if self.max_queue_depth is not None and start > now + _EPS:
-            for _ in range(count):
-                heapq.heappush(self._pending_starts, start)
-
     # ------------------------------------------------------------------
     # Formation / dispatch
     # ------------------------------------------------------------------
 
-    def dispatch(self, batch: list[Request], now: float) -> PlannedBatch:
+    def dispatch(self, batch: list[Request], now: float) -> PlannedBatch | None:
         """Route, limit-split, and cost one formed batch.
 
         Updates the device's serving clocks and the fleet accounting that is
         determined at dispatch time; the per-request records land via
-        :meth:`finalize` (immediately under ``auto_finalize``).
+        :meth:`finalize` (immediately under ``auto_finalize``).  Returns
+        None when the phase takes none of the batch: it goes back whole to
+        the head of the queue and formation stops at ``now``.
         """
         index = self.router.select(self.fleet, batch, now)
         if not 0 <= index < len(self.fleet):
             raise IndexError(f"router '{self.router.name}' picked invalid device {index}")
         device = self.fleet[index]
         admitted = device.admissible_prefix([r.length for r in batch])
+        take = self.phase.admit(index, batch[:admitted], now)
+        if take == 0:
+            self.queue[:0] = batch
+            self._blocked = True
+            return None
         if admitted < len(batch):
-            # The device's admission limits cap this batch: run the prefix
-            # and hand the remainder back to the head of the formation queue
-            # (those requests arrived before anything still waiting there).
             self.report.num_limit_splits += 1
-            self.queue[:0] = batch[admitted:]
-            batch = batch[:admitted]
+        if take < len(batch):
+            # Run the prefix and hand the remainder back to the head of the
+            # formation queue (it arrived before anything still waiting there).
+            self.queue[:0] = batch[take:]
+            batch = batch[:take]
         start = device.next_start(now)
         execution = device.execute([r.length for r in batch])
         crash = None
         if self.fault_injector is not None:
             execution, crash = self._apply_faults(index, start, execution)
-        self.note_pending_starts(start, len(batch), now)
+        if self.max_queue_depth is not None and start > now + _EPS:
+            # Only admission control reads the dispatched-not-started count.
+            for _ in range(len(batch)):
+                heapq.heappush(self._pending_starts, start)
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         planned = PlannedBatch(
@@ -485,18 +547,7 @@ class DispatchCore:
 
         report = self.report
         device = self.fleet[planned.device_index]
-        for position, request in enumerate(planned.requests):
-            report.records.append(
-                RequestRecord(
-                    request=request,
-                    dispatch_time=planned.dispatch_time,
-                    start_time=planned.start_time,
-                    completion_time=planned.start_time
-                    + planned.execution.completion_offsets[position],
-                    device_index=planned.device_index,
-                    batch_id=planned.batch_id,
-                )
-            )
+        self.phase.land(report, planned)
         report.batches.append(
             BatchRecord(
                 batch_id=planned.batch_id,
@@ -536,6 +587,7 @@ class DispatchCore:
     def pump(self, now: float, draining: bool = False) -> list[PlannedBatch]:
         """Cut and dispatch every batch the policy will form at ``now``."""
         planned: list[PlannedBatch] = []
+        self._blocked = False
         while True:
             batch = self.batch_policy.form_batch(self.queue, now, draining)
             if batch is None:
@@ -545,6 +597,9 @@ class DispatchCore:
                     f"batch policy '{self.batch_policy.name}' formed an empty batch"
                 )
             plan = self.dispatch(batch, now)
+            if plan is None:
+                self.note_queue_depth(now)
+                break
             if self.auto_finalize and not plan.crashed:
                 # A crashed plan never touches the report's records; the
                 # driver requeues/retries/sheds its requests instead.
@@ -555,8 +610,12 @@ class DispatchCore:
         return planned
 
     def next_action_time(self, now: float) -> float | None:
-        """The policy's next timer instant for the current queue (or None)."""
-        return self.batch_policy.next_action_time(self.queue, now)
+        """The policy's next timer instant for the current queue (or None);
+        one due now is moot while the phase blocks formation now."""
+        deadline = self.batch_policy.next_action_time(self.queue, now)
+        if self._blocked and deadline is not None and deadline <= now + _EPS:
+            return None
+        return deadline
 
 
 def collect_device_stats(report, fleet: list[Device], active=None) -> None:

@@ -738,6 +738,34 @@ def _as_fleet(
     return fleet
 
 
+def _prepare_fleet(
+    devices, dataset: DatasetConfig | str, scheduler, max_queue_depth: int | None
+) -> tuple[DatasetConfig, list[Device]]:
+    """The checks every driver runs first: resolve the dataset, normalize
+    the fleet (non-empty), and validate the admission-control bound."""
+    if isinstance(dataset, str):
+        dataset = get_dataset_config(dataset)
+    fleet = _as_fleet(devices, scheduler)
+    if not fleet:
+        raise ValueError("need at least one device")
+    if max_queue_depth is not None and max_queue_depth < 1:
+        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+    return dataset, fleet
+
+
+def _device_summaries(fleet: list[Device]) -> list[DeviceSummary]:
+    """One empty summary per device, carrying its rental price."""
+    return [
+        DeviceSummary(
+            index=i,
+            accelerator=device.name,
+            backend=device.backend,
+            price_per_hour_usd=getattr(device, "price_per_hour_usd", None),
+        )
+        for i, device in enumerate(fleet)
+    ]
+
+
 def _fleet_scheduler_label(fleet: list[Device]) -> str:
     names = {device.scheduler_name for device in fleet if device.scheduler_name}
     if not names:
@@ -901,13 +929,7 @@ def simulate_online(
     prefix and the remainder returns to the front of the formation queue
     (counted in ``num_limit_splits``).
     """
-    if isinstance(dataset, str):
-        dataset = get_dataset_config(dataset)
-    fleet = _as_fleet(devices, scheduler)
-    if not fleet:
-        raise ValueError("need at least one device")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+    dataset, fleet = _prepare_fleet(devices, dataset, scheduler, max_queue_depth)
     if isinstance(autoscaler, str):
         autoscaler = get_autoscaler(autoscaler)
     autoscaling = autoscaler is not None
@@ -951,22 +973,14 @@ def simulate_online(
         autoscaler=autoscaler.name if autoscaling else None,
         provisioning_lag_s=provisioning_lag_s if autoscaling else None,
         faults=injector.describe() if injector is not None else None,
-        devices=[
-            DeviceSummary(
-                index=i,
-                accelerator=device.name,
-                backend=device.backend,
-                price_per_hour_usd=getattr(device, "price_per_hour_usd", None),
-            )
-            for i, device in enumerate(fleet)
-        ],
+        devices=_device_summaries(fleet),
     )
 
     # The devices the routers see: the whole fleet when static, or the
     # currently-online prefix of the pool when autoscaled.  The list object
-    # is shared with the dispatch core and mutated in place, so routers
-    # (which read ``len(fleet)`` at select time) always see the live pool,
-    # and ``device_index`` is always the pool index.
+    # is shared with the dispatch core and mutated in place by the event
+    # loop, so routers (which read ``len(fleet)`` at select time) always see
+    # the live pool, and ``device_index`` is always the pool index.
     active: list[Device] = list(fleet[:initial]) if autoscaling else fleet
 
     # The simulator is one driver of the shared dispatch core (the live
@@ -985,6 +999,46 @@ def simulate_online(
         hedging=hedging,
         class_queue_limits=class_queue_limits,
     )
+    _run_event_loop(
+        core,
+        fleet,
+        requests,
+        autoscaler=autoscaler,
+        provisioning_lag_s=provisioning_lag_s,
+        autoscale_interval_s=autoscale_interval_s,
+        min_devices=min_devices,
+        max_retries=max_retries,
+        retry_backoff_s=retry_backoff_s,
+    )
+    return report
+
+
+def _run_event_loop(
+    core: DispatchCore,
+    fleet: list[Device],
+    requests: list[Request],
+    autoscaler=None,
+    provisioning_lag_s: float = 0.0,
+    autoscale_interval_s: float = 1.0,
+    min_devices: int = 1,
+    max_retries: int = 0,
+    retry_backoff_s: float = 0.05,
+) -> None:
+    """Drive ``core`` over ``requests`` on a simulated clock, then close the
+    report: the one event loop of every simulated driver.
+
+    Each instant applies autoscaling, requeues due crash retries, offers the
+    arrivals, and pumps the core between the phase's ``before_pump`` and
+    ``after_pump``; the clock then jumps to the next arrival, policy timer,
+    retry, scaling or phase event.  ``core.fleet`` is the routable pool
+    (``fleet`` itself unless autoscaled).
+    """
+    report = core.report
+    phase = core.phase
+    batch_policy = core.batch_policy
+    injector = core.fault_injector
+    active = core.fleet
+    autoscaling = autoscaler is not None
     clock = SimClock()
     next_index = 0
     total = len(requests)
@@ -1128,7 +1182,7 @@ def simulate_online(
                 continue
             break
 
-    while next_index < total or core.queue or requeue:
+    while next_index < total or core.queue or requeue or phase.has_work():
         now = clock.now()
         if autoscaling:
             _apply_scaling(now)
@@ -1145,6 +1199,7 @@ def simulate_online(
             arrivals_in_window += 1
             next_index += 1
         core.note_queue_depth(now)
+        phase.before_pump(now)
 
         draining = next_index >= total
         planned = core.pump(now, draining)
@@ -1152,8 +1207,9 @@ def simulate_online(
             for plan in planned:
                 if plan.crashed:
                     _recover_crashed(plan)
+        phase.after_pump(now)
 
-        if next_index >= total and not core.queue and not requeue:
+        if next_index >= total and not core.queue and not requeue and not phase.has_work():
             break
         next_event = requests[next_index].arrival_time if next_index < total else math.inf
         deadline = core.next_action_time(now)
@@ -1161,6 +1217,7 @@ def simulate_online(
             next_event = min(next_event, deadline)
         if requeue:
             next_event = min(next_event, requeue[0][0])
+        next_event = min(next_event, phase.next_event_time())
         if autoscaling:
             if math.isinf(next_event):
                 # Scaling events alone cannot drain a stranded queue; detect
@@ -1189,7 +1246,7 @@ def simulate_online(
                 f"batch policy '{batch_policy.name}' left {len(core.queue)} requests stranded"
             )
         requeue_due = bool(requeue) and requeue[0][0] <= now + _EPS
-        if next_event <= now + _EPS and draining and not requeue_due:
+        if next_event <= now + _EPS and draining and not requeue_due and not phase.has_work():
             raise RuntimeError(f"batch policy '{batch_policy.name}' is not making progress")
         clock.advance_to(next_event)
 
@@ -1209,14 +1266,13 @@ def simulate_online(
         horizon = max((r.completion_time for r in report.records), default=0.0)
         for index, summary in enumerate(report.devices):
             summary.downtime_s = injector.timeline(index).downtime_before(horizon)
-        blacklisted = getattr(router, "blacklisted_seconds", None)
+        blacklisted = getattr(core.router, "blacklisted_seconds", None)
         if blacklisted is not None:
             for index, summary in enumerate(report.devices):
                 summary.blacklisted_s = blacklisted(index, horizon)
-    collect_device_stats(report, fleet)
+    collect_device_stats(report, fleet, active=phase.finish(report))
     report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
     preemptions = getattr(batch_policy, "num_preemptions", None)
     if preemptions is not None:
         report.num_preemptions = preemptions
     collect_class_stats(report)
-    return report

@@ -10,8 +10,11 @@ from repro.decode import (
     simulate_decode_online,
 )
 from repro.devices import Device, build_device
+from repro.devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
 from repro.serving.arrivals import PoissonArrivals
+from repro.serving.classes import ClassMixArrivals
 from repro.serving.engine import simulate_online
+from repro.serving.policies import TimeoutBatcher
 from repro.serving.slo import SLOSpec
 from repro.transformer.configs import MRPC, SQUAD_V11 as SQUAD, get_model_config
 
@@ -72,6 +75,60 @@ class TestEncoderReduction:
         assert [r.completion_time for r in decode.records] == [
             r.completion_time for r in encoder.records
         ]
+
+    @pytest.mark.parametrize(
+        ("admission", "exercised"),
+        [
+            ({}, "num_completed"),
+            ({"max_queue_depth": 6}, "num_shed"),
+            (
+                {
+                    "mix": "interactive:0.5,best-effort:0.5",
+                    "class_queue_limits": {"best-effort": 1},
+                },
+                "num_shed",
+            ),
+            ({"slo": SLOSpec(base_s=0.1), "shed_on_predicted_miss": True}, "num_shed_predicted"),
+            ({"max_batch_size": 2}, "num_limit_splits"),
+        ],
+        ids=["plain", "queue-limit", "class-limits", "predicted-miss", "limit-splits"],
+    )
+    def test_single_token_payload_matches_encoder_payload(self, admission, exercised):
+        """With output_len == 1 the decode report's payload carries every key
+        of the encoder report's, value for value, under every admission
+        setting the two engines share.  ``schedule_cache`` is left out: it
+        reports the process-wide cache, whatever ran before."""
+        admission = dict(admission)
+        knobs = {}
+        if "max_batch_size" in admission:
+            knobs["max_batch_size"] = admission.pop("max_batch_size")
+        arrivals = PoissonArrivals(rate_qps=120.0)
+        mix = admission.pop("mix", None)
+        if mix is not None:
+            arrivals = ClassMixArrivals(base=arrivals, mix=mix)
+        payloads = []
+        for engine, extra in (
+            (simulate_online, {}),
+            (simulate_decode_online, {"output_lengths": 1}),
+        ):
+            GLOBAL_SCHEDULE_CACHE.clear()
+            fleet = [_decode_device(**knobs), _decode_device(**knobs)]
+            report = engine(
+                fleet,
+                SQUAD,
+                arrivals,
+                num_requests=80,
+                batch_policy=TimeoutBatcher(batch_size=8, timeout_s=0.01),
+                seed=11,
+                **admission,
+                **extra,
+            )
+            payloads.append(report.to_dict())
+        encoder, decode = payloads
+        assert encoder[exercised] > 0
+        for key, value in encoder.items():
+            if key != "schedule_cache":
+                assert decode[key] == value, key
 
 
 class TestKvAdmission:

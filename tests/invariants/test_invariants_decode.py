@@ -1,7 +1,8 @@
 """Cross-scenario invariants of the two-phase (prefill/decode) engine.
 
-The decode engine shares the dispatch core but runs its own prefill path
-and iteration-level admission, so the conservation / immutability / work
+The decode engine runs the encoder engine's event loop and dispatch core
+with a decode phase plugged in -- KV admission, decode joiners, and
+iteration-level decode steps -- so the conservation / immutability / work
 invariants are re-asserted here over a subset of the scenario space (fault
 injection is a sim/live feature; the decode engine has no injector).
 """
