@@ -184,17 +184,41 @@ class CycleAccurateDevice(Device):
         """Sparse designs reuse their attention top-k as the KV-read cap."""
         return self.accelerator.top_k
 
+    def _decode_constants(self) -> tuple[int, float, float, float, float]:
+        """Static decode-cost quantities, computed once on first use.
+
+        ``(kv_bytes_per_token, kv_read_bandwidth, weight_stream_seconds,
+        mac_ops_per_request, peak_ops)``: none depends on the running batch,
+        and the accelerator and HBM model are fixed once the device is built
+        (to change a design, build a fresh device).  Computing them lazily
+        keeps the cost out of fleet construction; :meth:`reset` keeps them.
+        """
+        constants = self.__dict__.get("_decode_memo")
+        if constants is None:
+            model = self.accelerator.model_config
+            per_token = (
+                2  # K and V
+                * model.num_layers
+                * model.hidden_dim
+                * global_config.KV_BYTES_PER_ELEMENT_FPGA
+            )
+            bandwidth = self.hbm.effective_bandwidth
+            weight_bytes = model.num_parameters * (global_config.MODEL_QUANT_BITS // 8)
+            constants = (
+                per_token,
+                bandwidth,
+                weight_bytes / bandwidth,
+                2.0 * model.num_parameters,
+                self.accelerator.peak_ops(),
+            )
+            self.__dict__["_decode_memo"] = constants
+        return constants
+
     def kv_bytes_per_token(self) -> int:
-        model = self.accelerator.model_config
-        return (
-            2  # K and V
-            * model.num_layers
-            * model.hidden_dim
-            * global_config.KV_BYTES_PER_ELEMENT_FPGA
-        )
+        return self._decode_constants()[0]
 
     def kv_read_bandwidth(self) -> float:
-        return self.hbm.effective_bandwidth
+        return self._decode_constants()[1]
 
     def decode_compute_seconds(self, batch_size: int) -> float:
         """Weight-side work of one step: batched GEMV through the stack.
@@ -203,13 +227,8 @@ class CycleAccurateDevice(Device):
         step sits on a roofline between the weight-stream time and the MAC
         time at the design's peak rate.
         """
-        model = self.accelerator.model_config
-        weight_bytes = model.num_parameters * (global_config.MODEL_QUANT_BITS // 8)
-        weight_seconds = weight_bytes / self.kv_read_bandwidth()
-        mac_seconds = (
-            batch_size * 2.0 * model.num_parameters / self.accelerator.peak_ops()
-        )
-        return max(weight_seconds, mac_seconds)
+        _, _, weight_seconds, request_ops, peak_ops = self._decode_constants()
+        return max(weight_seconds, batch_size * request_ops / peak_ops)
 
     def reset(self, continuous_batching: bool = False) -> None:
         super().reset(continuous_batching=continuous_batching)
@@ -417,6 +436,10 @@ class AnalyticalDevice(Device):
     ) -> None:
         if workload not in ("end_to_end", "attention"):
             raise ValueError("workload must be 'end_to_end' or 'attention'")
+        if decode_top_k is not None and decode_top_k < 1:
+            raise ValueError(
+                f"decode_top_k must be >= 1 (or None for dense reads), got {decode_top_k}"
+            )
         self.platform = platform
         self.model_config = model_config
         self.workload = workload

@@ -241,19 +241,6 @@ class Device:
         """Whether this backend models the decode phase at all."""
         return self.kv_bytes_per_token() is not None and self.kv_read_bandwidth() is not None
 
-    def effective_kv_tokens(self, context_length: int) -> int:
-        """KV rows actually read per step for one request's context.
-
-        Top-k sparse attention caps the reads at ``decode_top_k`` rows: the
-        pre-selection picks the k highest-scoring keys, so a long context
-        costs no more bandwidth than a k-token one (the paper's accuracy knob
-        becomes a serving-capacity knob).
-        """
-        context = max(int(context_length), 0)
-        if self.decode_top_k is None:
-            return context
-        return min(context, int(self.decode_top_k))
-
     def prefill_latency_seconds(self, lengths: Sequence[int]) -> float:
         """Service time of the prompt pass (reuses the encoder batch path)."""
         return self.batch_latency_seconds(lengths)
@@ -261,9 +248,13 @@ class Device:
     def decode_step_latency_seconds(self, context_lengths: Sequence[int]) -> float:
         """One iteration of the running batch: generate one token per request.
 
-        Each request streams ``effective_kv_tokens(context) *
+        Each request streams ``min(context, decode_top_k) *
         kv_bytes_per_token()`` of KV rows on top of the weight-side work of
-        the dense stack (``decode_compute_seconds``).  The two are additive:
+        the dense stack (``decode_compute_seconds``).  Top-k sparse attention
+        caps the reads at ``decode_top_k`` rows (no cap when ``None``): the
+        pre-selection picks the k highest-scoring keys, so a long context
+        costs no more bandwidth than a k-token one (the paper's accuracy knob
+        becomes a serving-capacity knob).  The two terms are additive:
         within every layer the QKV projection, the KV-reading attention, and
         the FFN form a dependency chain, so the KV stream cannot hide behind
         the weight pass.  A fixed control overhead closes the step.
@@ -271,7 +262,7 @@ class Device:
         contexts = [int(c) for c in context_lengths]
         if not contexts:
             raise ValueError("a decode step needs at least one running request")
-        if any(c < 1 for c in contexts):
+        if min(contexts) < 1:
             raise ValueError("decode context lengths must be >= 1")
         per_token = self.kv_bytes_per_token()
         bandwidth = self.kv_read_bandwidth()
@@ -279,8 +270,13 @@ class Device:
             raise NotImplementedError(
                 f"device '{self.name}' ({self.backend}) has no decode cost model"
             )
-        kv_bytes = per_token * sum(self.effective_kv_tokens(c) for c in contexts)
-        read_seconds = kv_bytes / bandwidth
+        top_k = self.decode_top_k
+        if top_k is None:
+            kv_tokens = sum(contexts)
+        else:
+            top_k = int(top_k)
+            kv_tokens = sum([c if c < top_k else top_k for c in contexts])
+        read_seconds = per_token * kv_tokens / bandwidth
         compute_seconds = self.decode_compute_seconds(len(contexts))
         return read_seconds + compute_seconds + self.decode_step_overhead_s
 

@@ -141,10 +141,19 @@ class Accelerator:
     # ------------------------------------------------------------------
 
     def resources(self) -> FpgaResources:
-        """Total resources consumed by every stage (including replication)."""
-        total = FpgaResources()
-        for stage in self.stages:
-            total = total + stage.total_resources()
+        """Total resources consumed by every stage (including replication).
+
+        Memoized per instance under the same invariant as
+        :meth:`stage_latency_row` (the stage hardware is fixed once the
+        factory returns).  :class:`FpgaResources` is frozen, so the cached
+        tally is safe to share.
+        """
+        total = self.__dict__.get("_resources_memo")
+        if total is None:
+            total = FpgaResources()
+            for stage in self.stages:
+                total = total + stage.total_resources()
+            self.__dict__["_resources_memo"] = total
         return total
 
     def fits_capacity(self) -> bool:
@@ -432,6 +441,8 @@ def build_sparse_accelerator(
     replica built against a proportional share of the device, and the
     scheduler dispatches consecutive sequences to different replicas.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1 (got {top_k})")
     graph = build_sparse_encoder_graph(model_config, top_k=top_k, quant_bits=quant_bits)
     if attention_core_only:
         stage_groups, stage_names = _SPARSE_ATTENTION_STAGE_GROUPS, _ATTENTION_STAGE_NAMES

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.accelerator import (
@@ -9,6 +11,7 @@ from repro.hardware.accelerator import (
     build_baseline_accelerator,
     build_sparse_accelerator,
 )
+from repro.hardware.resources import FpgaResources
 from repro.transformer.configs import BERT_BASE, BERT_LARGE, DISTILBERT
 
 
@@ -94,3 +97,36 @@ class TestBaselineAcceleratorDesign:
         )
         all_ops = [name for stage in accel.stages for name in stage.operator_names()]
         assert set(all_ops) == {"attention_scores", "scale_mask", "softmax", "attention_context"}
+
+
+def _fresh_sum(stages) -> FpgaResources:
+    total = FpgaResources()
+    for stage in stages:
+        total = total + stage.total_resources()
+    return total
+
+
+class TestResourceMemo:
+    def test_resources_equal_a_fresh_sum_over_the_stages(self, sparse_accel, baseline_accel):
+        for accel in (sparse_accel, baseline_accel):
+            assert accel.resources() == _fresh_sum(accel.stages)
+            assert accel.resources() == accel.resources()
+            assert accel.peak_ops() == 2.0 * _fresh_sum(accel.stages).dsp * accel.clock_hz
+
+    def test_replaced_stages_do_not_inherit_the_memo(self, sparse_accel):
+        sparse_accel.resources()
+        smaller = dataclasses.replace(sparse_accel, stages=sparse_accel.stages[:1])
+        assert smaller.resources() == _fresh_sum(sparse_accel.stages[:1])
+        assert smaller.resources() != sparse_accel.resources()
+        assert sparse_accel.resources() == _fresh_sum(sparse_accel.stages)
+
+
+class TestTopKValidation:
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_non_positive_top_k_is_rejected(self, top_k):
+        with pytest.raises(ValueError, match="top_k"):
+            build_sparse_accelerator(BERT_BASE, top_k=top_k, avg_seq=128, max_seq=256)
+
+    def test_top_k_of_one_builds(self):
+        accel = build_sparse_accelerator(BERT_BASE, top_k=1, avg_seq=128, max_seq=256)
+        assert accel.top_k == 1
