@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.evaluation.fig1_breakdown import run_fig1_breakdown
 from repro.evaluation.report import format_key_values, format_table
+from repro.experiments import run_experiment
 
 
 def test_bench_fig1_breakdown(benchmark, write_report):
-    result = run_once(benchmark, run_fig1_breakdown)
+    result = run_once(benchmark, run_experiment, "fig1")
 
     text = format_table(result.as_rows(), title="Fig. 1(c) - encoder time breakdown (GPU time model)")
     text += "\n" + format_key_values(
@@ -20,7 +20,7 @@ def test_bench_fig1_breakdown(benchmark, write_report):
             "paper claim": "~60% of encoder time in self-attention",
         }
     )
-    flops = run_fig1_breakdown(mode="flops")
+    flops = run_experiment("fig1", {"mode": "flops"})
     text += "\n" + format_table(
         flops.as_rows(), title="Same breakdown in raw FLOPs (drives the FPGA stage allocation)"
     )

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.evaluation.fig5_timeline import run_fig5_schedule
 from repro.evaluation.report import format_key_values, format_table
+from repro.experiments import run_experiment
 
 
 def test_bench_fig5_length_aware_schedule(benchmark, write_report):
-    result = run_once(benchmark, run_fig5_schedule)
+    result = run_once(benchmark, run_experiment, "fig5")
 
     text = format_table(result.as_rows(), title="Fig. 5 - scheduling the example batch (cycles)")
     occupancy = result.length_aware.timeline.stage_occupancy()

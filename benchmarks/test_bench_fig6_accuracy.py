@@ -12,18 +12,21 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.evaluation.fig6_accuracy import run_fig6_accuracy
 from repro.evaluation.report import format_key_values, format_table
+from repro.experiments import run_experiment
 from repro.transformer.configs import FIG6_EVALUATION_PAIRS
 
 
 def test_bench_fig6_topk_accuracy_sweep(benchmark, write_report):
     result = run_once(
         benchmark,
-        run_fig6_accuracy,
-        pairs=FIG6_EVALUATION_PAIRS,
-        num_examples=4,
-        max_length_cap=80,
+        run_experiment,
+        "fig6",
+        {
+            "pairs": tuple(f"{model}:{dataset}" for model, dataset in FIG6_EVALUATION_PAIRS),
+            "examples": 4,
+            "max_length": 80,
+        },
     )
 
     text = format_table(result.as_rows(), title="Fig. 6 - Top-k sparse attention accuracy (proxy tasks)")

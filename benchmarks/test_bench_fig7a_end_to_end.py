@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.evaluation.fig7_throughput import run_fig7_throughput
-from repro.evaluation.report import format_key_values, format_table
+from repro.evaluation.report import format_table
+from repro.experiments import run_experiment
 
 
 def test_bench_fig7a_end_to_end_speedups(benchmark, write_report):
-    result = run_once(benchmark, run_fig7_throughput, panel="end_to_end")
+    result = run_once(benchmark, run_experiment, "fig7a")
 
     text = format_table(result.as_rows(), title="Fig. 7(a) - end-to-end speedup of the proposed FPGA design")
     geomeans = result.geomean_speedups()

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.evaluation.fig7_throughput import run_fig7_throughput
 from repro.evaluation.report import format_table
+from repro.experiments import run_experiment
 
 
 def test_bench_fig7b_attention_speedups(benchmark, write_report):
-    result = run_once(benchmark, run_fig7_throughput, panel="attention")
+    result = run_once(benchmark, run_experiment, "fig7b")
 
     text = format_table(result.as_rows(), title="Fig. 7(b) - attention-core speedup of the proposed FPGA design")
     geomeans = result.geomean_speedups()
@@ -29,7 +29,7 @@ def test_bench_fig7b_attention_speedups(benchmark, write_report):
 
     # Shape checks: much larger speedups than end-to-end, same platform ordering
     # as the paper (CPU >> edge GPU >> GPU server, FPGA baseline in between).
-    end_to_end = run_fig7_throughput(panel="end_to_end").geomean_speedups()
+    end_to_end = run_experiment("fig7a").geomean_speedups()
     assert geomeans["cpu"] > end_to_end["cpu"]
     assert geomeans["cpu"] > geomeans["jetson_tx2"] > geomeans["rtx6000"]
     assert geomeans["fpga_baseline"] > geomeans["rtx6000"]

@@ -5,11 +5,11 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.evaluation.report import format_table
-from repro.evaluation.table2_energy import run_table2_energy
+from repro.experiments import run_experiment
 
 
 def test_bench_table2_energy_efficiency(benchmark, write_report):
-    result = run_once(benchmark, run_table2_energy)
+    result = run_once(benchmark, run_experiment, "table2")
 
     text = format_table(result.as_rows(), title="Table 2 - throughput & energy efficiency (measured + literature rows)")
     paper = [

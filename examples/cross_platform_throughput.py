@@ -11,13 +11,15 @@ Run with:  python examples/cross_platform_throughput.py
 
 from __future__ import annotations
 
-from repro.evaluation import run_fig7_throughput, run_table2_energy
 from repro.evaluation.report import format_table
+from repro.experiments import run_experiment
 
 
 def main() -> None:
-    end_to_end = run_fig7_throughput(panel="end_to_end")
-    attention = run_fig7_throughput(panel="attention")
+    # Table 2 is computed from a Fig. 7(a) run, which it keeps.
+    table2 = run_experiment("table2")
+    end_to_end = table2.fig7
+    attention = run_experiment("fig7b")
 
     print(format_table(end_to_end.as_rows(), title="Fig. 7(a) - end-to-end speedups of the proposed design"))
     print(
@@ -48,7 +50,6 @@ def main() -> None:
         )
     )
 
-    table2 = run_table2_energy(fig7=end_to_end)
     print(format_table(table2.as_rows(), title="Table 2 - throughput & energy efficiency"))
 
 

@@ -11,8 +11,8 @@ Run with:  python examples/length_aware_pipeline.py
 
 from __future__ import annotations
 
-from repro.evaluation import run_fig5_schedule
 from repro.evaluation.report import format_key_values, format_table
+from repro.experiments import run_experiment
 from repro.scheduling import ScheduleResult
 
 
@@ -35,7 +35,7 @@ def render_gantt(result: ScheduleResult, width: int = 100) -> str:
 
 
 def main() -> None:
-    result = run_fig5_schedule()
+    result = run_experiment("fig5")
 
     print(format_table(result.as_rows(), title="Fig. 5 - schedulers compared on the example batch"))
     print(

@@ -16,18 +16,23 @@ from __future__ import annotations
 
 from repro.devices import build_fleet
 from repro.evaluation.report import format_key_values, format_table
-from repro.evaluation.serving_sweep import build_serving_fleet, run_serving_sweep
+from repro.experiments import run_experiment
 from repro.serving import BurstyArrivals, PoissonArrivals, TimeoutBatcher, simulate_online
 from repro.transformer import BERT_BASE
 
 
 def main() -> None:
-    sweep = run_serving_sweep(
-        datasets=("mrpc", "rte"),
-        load_fractions=(0.1, 0.2, 0.3, 0.4, 0.5),
-        batch_policies=("timeout",),
-        num_requests=192,
-        num_accelerators=2,
+    sweep = run_experiment(
+        "serving-sweep",
+        {
+            "datasets": ("mrpc", "rte"),
+            "load_fractions": (0.1, 0.2, 0.3, 0.4, 0.5),
+            "batch_policies": ("timeout",),
+            "requests": 192,
+            "num_accelerators": 2,
+            "warmup_fraction": 0.0,
+            "cache_length_bucket": None,
+        },
     )
     print(
         format_table(
@@ -46,7 +51,7 @@ def main() -> None:
 
     # The same fleet under bursty (MMPP) traffic at a moderate average load:
     # the average rate is identical, but bursts inflate the tail.
-    fleet = build_serving_fleet(BERT_BASE, "mrpc", num_accelerators=2)
+    fleet = build_fleet(("sparse-fpga",), model=BERT_BASE, dataset="mrpc", replicas=2)
     rate = 0.3 * sweep.capacity_qps["MRPC"]
     rows = []
     for process in (

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from repro.evaluation.report import format_table
 from repro.hardware import build_sparse_accelerator
-from repro.scheduling import PaddedScheduler, simulate_serving
+from repro.scheduling import PaddedScheduler
+from repro.serving import simulate_serving
 from repro.transformer import BERT_BASE, DATASET_ZOO
 
 

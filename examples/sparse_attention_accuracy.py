@@ -3,27 +3,26 @@
 Sweeps the Top-k operating point for a subset of the (model, dataset) pairs
 and prints the proxy-task scores next to the dense baseline, plus the
 aggregate accuracy drop at each k.  The full ten-pair sweep is available via
-``repro.evaluation.run_fig6_accuracy`` (see benchmarks/test_bench_fig6_accuracy.py).
+``run_experiment("fig6")`` (see benchmarks/test_bench_fig6_accuracy.py).
 
 Run with:  python examples/sparse_attention_accuracy.py
 """
 
 from __future__ import annotations
 
-from repro.evaluation import run_fig6_accuracy
 from repro.evaluation.report import format_key_values, format_table
+from repro.experiments import run_experiment
 
 
 def main() -> None:
-    result = run_fig6_accuracy(
-        pairs=(
-            ("distilbert", "mrpc"),
-            ("distilbert", "rte"),
-            ("bert-base", "squad"),
-        ),
-        top_k_values=(50, 30, 20, 10),
-        num_examples=6,
-        max_length_cap=96,
+    result = run_experiment(
+        "fig6",
+        {
+            "pairs": ("distilbert:mrpc", "distilbert:rte", "bert-base:squad"),
+            "top_k_values": (50, 30, 20, 10),
+            "examples": 6,
+            "max_length": 96,
+        },
     )
 
     print(format_table(result.as_rows(), title="Top-k sparse attention accuracy (proxy tasks)"))

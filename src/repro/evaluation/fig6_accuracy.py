@@ -25,7 +25,6 @@ from ..core.sparse_attention import make_sparse_attention_impl
 from ..datasets.tasks import build_proxy_task, evaluate_model_on_task
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
-from ..experiments.spec import deprecated_call
 from ..transformer.configs import (
     FIG6_EVALUATION_PAIRS,
     ModelConfig,
@@ -41,7 +40,6 @@ __all__ = [
     "Fig6PairResult",
     "Fig6Result",
     "reduced_config",
-    "run_fig6_accuracy",
 ]
 
 #: Default (model, dataset) pairs in the CLI-friendly "model:dataset" form.
@@ -267,19 +265,3 @@ SPEC = register_experiment(
         include_in_all=False,
     )
 )
-
-
-def run_fig6_accuracy(
-    pairs=FIG6_EVALUATION_PAIRS,
-    top_k_values: tuple[int, ...] = global_config.TOP_K_SWEEP,
-    num_examples: int = 8,
-    max_length_cap: int = 128,
-    quant_bits: int = 1,
-    reduced: bool = True,
-    seed: int = global_config.DEFAULT_SEED,
-) -> Fig6Result:
-    """Deprecated: use ``run_experiment("fig6", Fig6Config(...))`` instead."""
-    deprecated_call("run_fig6_accuracy", 'run_experiment("fig6", ...)')
-    return _fig6_impl(
-        pairs, top_k_values, num_examples, max_length_cap, quant_bits, reduced, seed
-    )

@@ -19,7 +19,6 @@ from .. import config as global_config
 from ..datasets.length_distributions import sample_lengths
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
-from ..experiments.spec import deprecated_call
 from ..metrics.throughput import geomean
 from ..platforms.base import PlatformResult
 from ..platforms.devices import CPU_GPU_PLATFORMS
@@ -32,7 +31,7 @@ from ..transformer.configs import (
 from .pairs import _validate_pairs
 from .report import format_table
 
-__all__ = ["Fig7Config", "Fig7Workload", "Fig7Result", "run_fig7_throughput"]
+__all__ = ["Fig7Config", "Fig7Workload", "Fig7Result"]
 
 #: Default (model, dataset) workloads in the CLI-friendly "model:dataset" form.
 _DEFAULT_PAIRS = tuple(f"{model}:{dataset}" for model, dataset in FIG7_EVALUATION_PAIRS)
@@ -250,15 +249,3 @@ SPEC_B = register_experiment(
         include_in_all=True,
     )
 )
-
-
-def run_fig7_throughput(
-    panel: str = "end_to_end",
-    pairs=FIG7_EVALUATION_PAIRS,
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE,
-    top_k: int = global_config.DEFAULT_TOP_K,
-    seed: int = global_config.DEFAULT_SEED,
-) -> Fig7Result:
-    """Deprecated: use ``run_experiment("fig7a" | "fig7b", Fig7Config(...))``."""
-    deprecated_call("run_fig7_throughput", 'run_experiment("fig7a"/"fig7b", ...)')
-    return _fig7_impl(panel, pairs, batch_size, top_k, seed)

@@ -23,49 +23,36 @@ batch-drain mode).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .. import config as global_config
-from ..devices import build_fleet, split_fleet_spec
+from ..devices import split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
 from ..registry import REGISTRY
-from ..serving import (
-    OnlineServingReport,
-    TraceArrivals,
-    get_arrival_process,
-    get_batch_policy,
-    get_router,
-    simulate_online,
-)
+from ..serving import OnlineServingReport, TraceArrivals, get_arrival_process
 from ..serving.arrivals import _is_rate_driven
+from ..serving.classes import parse_class_queue_limits
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
 from .report import format_key_values, format_table
-from ..serving.classes import parse_class_queue_limits
 from .serving_sweep import (
     DEFAULT_WARMUP_FRACTION,
+    ServingSweepConfig,
     ServingSweepResult,
+    _resolve_component,
     _sweep_impl,
-    build_failure_aware_router,
-    class_mix_arrivals,
-    fault_schedules_from_knobs,
     render_sweep,
-    slo_spec_from_ms,
-    validate_class_axis,
-    validate_fault_knobs,
-    validate_slo_knobs,
+    simulate_config,
+    validate_serving_knobs,
 )
 
 __all__ = ["ServeConfig", "ServeResult"]
 
 
-def _resolve_component(kind: str, name: str):
-    """Registry lookup that reports unknown names as config ValueErrors."""
-    try:
-        return REGISTRY.resolve(kind, name)
-    except KeyError as error:
-        raise ValueError(error.args[0]) from error
+def _axis(entry: str | None) -> tuple[str, ...]:
+    """A single fault / class-mix entry as a sweep axis ("none" = no axis)."""
+    return () if entry is None or entry == "none" else (entry,)
 
 
 @dataclass(frozen=True)
@@ -242,43 +229,7 @@ class ServeConfig(ExperimentConfig):
         super().validate()
         if self.qps is not None and self.qps <= 0:
             raise ValueError("qps must be > 0")
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.num_accelerators < 1:
-            raise ValueError("num_accelerators must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or none)")
-        validate_slo_knobs(
-            self.slo_ms,
-            self.slo_per_token_ms,
-            self.device_max_batch_size,
-            self.device_max_batch_tokens,
-        )
-        validate_fault_knobs(
-            () if self.faults is None else (self.faults,),
-            fault_mtbf_s=self.fault_mtbf_s,
-            fault_downtime_s=self.fault_downtime_s,
-            fault_multiplier=self.fault_multiplier,
-            fault_duration_s=self.fault_duration_s,
-            max_retries=self.max_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
-            blacklist_ms=self.blacklist_ms,
-        )
-        if self.classes is not None:
-            validate_class_axis((self.classes,))
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
-        names = split_fleet_spec(self.devices)
-        if not names:
-            raise ValueError("devices must name at least one registered device")
-        for name in names:
-            _resolve_component("device", name)
+        validate_serving_knobs(self, _axis(self.faults), _axis(self.classes))
         arrival = _resolve_component("arrival", self.arrival)
         _resolve_component("batch-policy", self.batch_policy)
         _resolve_component("router", self.routing)
@@ -305,6 +256,11 @@ class ServeConfig(ExperimentConfig):
                     "autoscaler needs a single online run: give qps or use a "
                     "non-rate arrival (trace), not the load sweep"
                 )
+        if self.shed_on_predicted_miss and self.is_rate_driven() and self.qps is None:
+            raise ValueError(
+                "shed_on_predicted_miss needs a single online run: give qps "
+                "or use a non-rate arrival, not the load sweep"
+            )
         if self.class_queue_limits is not None:
             try:
                 parse_class_queue_limits(self.class_queue_limits)
@@ -400,95 +356,45 @@ def _build_arrivals(config: ServeConfig):
     return get_arrival_process(config.arrival, rate_qps=config.qps)
 
 
+#: Fields ``serve`` hands to its sweep mode under the same name; the rest
+#: differ in name or shape (``dataset``, ``batch_policy``, ``routing``, and
+#: the single ``faults`` / ``classes`` entry) and are mapped below.
+_SWEEP_FIELDS = (
+    {f.name for f in fields(ServeConfig)} & {f.name for f in fields(ServingSweepConfig)}
+) - {"faults", "classes"}
+
+
+def _sweep_config(config: ServeConfig) -> ServingSweepConfig:
+    """The one-dataset serving-sweep config of ``serve`` without ``qps``."""
+    return ServingSweepConfig(
+        **{name: getattr(config, name) for name in _SWEEP_FIELDS},
+        datasets=(config.dataset,),
+        batch_policies=(config.batch_policy,),
+        router=config.routing,
+        faults=_axis(config.faults),
+        classes=_axis(config.classes),
+    )
+
+
 def _run_spec(config: ServeConfig) -> ServeResult:
     model = get_model_config(config.model)
-    timeout_s = config.timeout_ms * 1e-3
-    slo = slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms)
     device_names = tuple(split_fleet_spec(config.devices))
-    fault_axis = (
-        () if config.faults is None or config.faults == "none" else (config.faults,)
-    )
-    class_axis = (
-        () if config.classes is None or config.classes == "none" else (config.classes,)
-    )
     if config.is_rate_driven() and config.qps is None:
-        sweep = _sweep_impl(
-            datasets=(config.dataset,),
-            batch_policies=(config.batch_policy,),
-            num_requests=config.requests,
-            batch_size=config.batch_size,
-            devices=device_names,
-            num_accelerators=config.num_accelerators,
-            router=config.routing,
-            arrival=config.arrival,
-            timeout_s=timeout_s,
-            num_buckets=config.num_buckets,
-            bucket_width=config.bucket_width,
-            continuous_batching=config.continuous_batching,
-            max_queue_depth=config.max_queue_depth,
-            slo_s=None if slo is None else slo.base_s,
-            slo_per_token_s=0.0 if slo is None else slo.per_token_s,
-            device_max_batch_size=config.device_max_batch_size,
-            device_max_batch_tokens=config.device_max_batch_tokens,
-            faults=fault_axis,
-            classes=class_axis,
-            fault_mtbf_s=config.fault_mtbf_s,
-            fault_downtime_s=config.fault_downtime_s,
-            fault_multiplier=config.fault_multiplier,
-            fault_duration_s=config.fault_duration_s,
-            hedging=config.hedging,
-            max_retries=config.max_retries,
-            retry_backoff_s=config.retry_backoff_ms * 1e-3,
-            blacklist_s=config.blacklist_ms * 1e-3,
-            warmup_fraction=config.warmup_fraction,
-            cache_length_bucket=config.cache_length_bucket,
-            model=model,
-            seed=config.seed,
-        )
         return ServeResult(
             mode="sweep",
             model=model.name,
             num_accelerators=config.num_accelerators,
             devices=device_names,
-            sweep=sweep,
+            sweep=_sweep_impl(_sweep_config(config)),
         )
-
-    fleet = build_fleet(
-        device_names,
-        model=model,
-        dataset=config.dataset,
-        replicas=config.num_accelerators,
-        cache_length_bucket=config.cache_length_bucket,
-        max_batch_size=config.device_max_batch_size,
-        max_batch_tokens=config.device_max_batch_tokens,
-    )
-    report = simulate_online(
-        fleet,
+    report = simulate_config(
+        config,
         config.dataset,
-        arrivals=class_mix_arrivals(_build_arrivals(config), config.classes),
-        num_requests=config.requests,
-        batch_policy=get_batch_policy(
-            config.batch_policy,
-            batch_size=config.batch_size,
-            timeout_s=timeout_s,
-            num_buckets=config.num_buckets,
-            bucket_width=config.bucket_width,
-        ),
-        router=build_failure_aware_router(config.routing, config.blacklist_ms * 1e-3),
-        continuous_batching=config.continuous_batching,
-        max_queue_depth=config.max_queue_depth,
-        slo=slo,
-        faults=fault_schedules_from_knobs(
-            config.faults,
-            mtbf_s=config.fault_mtbf_s,
-            downtime_s=config.fault_downtime_s,
-            multiplier=config.fault_multiplier,
-            duration_s=config.fault_duration_s,
-        ),
-        hedging=config.hedging,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_ms * 1e-3,
-        seed=config.seed,
+        _build_arrivals(config),
+        batch_policy=config.batch_policy,
+        router=config.routing,
+        fault=config.faults,
+        classes=config.classes,
         shed_on_predicted_miss=config.shed_on_predicted_miss,
         class_queue_limits=(
             None

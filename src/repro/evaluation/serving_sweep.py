@@ -31,7 +31,6 @@ from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
 from ..faults import FaultSchedule, get_fault_schedule
 from .env_overrides import apply_env_overrides, capture_env_overrides
-from ..experiments.spec import deprecated_call
 from ..registry import REGISTRY
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.classes import ClassMixArrivals, parse_class_mix
@@ -40,10 +39,8 @@ from ..serving.policies import FixedSizeBatcher, get_batch_policy
 from ..serving.routing import get_router
 from ..serving.slo import SLOSpec
 from ..transformer.configs import (
-    BERT_BASE,
     DATASET_ZOO,
     MODEL_ZOO,
-    ModelConfig,
     get_dataset_config,
     get_model_config,
 )
@@ -55,11 +52,11 @@ __all__ = [
     "ServingSweepResult",
     "SweepPoint",
     "build_failure_aware_router",
-    "build_serving_fleet",
     "class_mix_arrivals",
-    "fault_schedules_from_knobs",
-    "run_serving_sweep",
-    "validate_class_axis",
+    "fault_schedules",
+    "serving_fleet",
+    "simulate_config",
+    "validate_serving_knobs",
 ]
 
 #: Offered-load grid (fractions of the measured closed-loop capacity); the
@@ -419,8 +416,6 @@ class ServingSweepConfig(ExperimentConfig):
 
     def validate(self) -> None:
         super().validate()
-        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.datasets:
@@ -439,190 +434,76 @@ class ServingSweepConfig(ExperimentConfig):
                 "routers must pair elementwise with batch_policies "
                 f"({len(self.batch_policies)} policies, {len(self.routers)} routers)"
             )
-        validate_slo_knobs(
-            self.slo_ms,
-            self.slo_per_token_ms,
-            self.device_max_batch_size,
-            self.device_max_batch_tokens,
-        )
-        validate_fault_knobs(
-            self.faults,
-            fault_mtbf_s=self.fault_mtbf_s,
-            fault_downtime_s=self.fault_downtime_s,
-            fault_multiplier=self.fault_multiplier,
-            fault_duration_s=self.fault_duration_s,
-            max_retries=self.max_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
-            blacklist_ms=self.blacklist_ms,
-        )
-        validate_class_axis(self.classes)
-        try:
-            for policy in self.batch_policies:
-                REGISTRY.resolve("batch-policy", policy)
-            for paired_router in self.routers:
-                REGISTRY.resolve("router", paired_router)
-            REGISTRY.resolve("router", self.router)
-            device_names = split_fleet_spec(self.devices)
-            for name in device_names:
-                REGISTRY.resolve("device", name)
-            arrival = REGISTRY.resolve("arrival", self.arrival)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from error
-        if not _is_rate_driven(arrival):
+        validate_serving_knobs(self, self.faults, self.classes)
+        for policy in self.batch_policies:
+            _resolve_component("batch-policy", policy)
+        for paired_router in self.routers:
+            _resolve_component("router", paired_router)
+        _resolve_component("router", self.router)
+        if not _is_rate_driven(_resolve_component("arrival", self.arrival)):
             raise ValueError(
                 f"arrival '{self.arrival}' is not rate-driven; the sweep sets the "
                 "offered rate from the measured capacity"
             )
-        if not device_names:
-            raise ValueError("devices must name at least one registered device")
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.num_accelerators < 1:
-            raise ValueError("num_accelerators must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or none)")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
 
 
-def build_serving_fleet(
-    model: ModelConfig,
-    dataset_name: str,
-    num_accelerators: int = 1,
-    top_k: int = global_config.DEFAULT_TOP_K,
-    device: str = "sparse-fpga",
-) -> list[Device]:
-    """Build ``num_accelerators`` registered devices for a dataset.
-
-    Kept as the legacy single-backend helper; :func:`repro.devices.build_fleet`
-    is the general (mixed-fleet) entry point.  ``top_k`` reaches any device
-    (canonical name or alias) whose factory declares it.
-    """
-    if num_accelerators < 1:
-        raise ValueError("num_accelerators must be >= 1")
-    return build_fleet(
-        (device,), model=model, dataset=dataset_name, replicas=num_accelerators, top_k=top_k
-    )
+def _resolve_component(kind: str, name: str):
+    """Registry lookup that reports unknown names as config ValueErrors."""
+    try:
+        return REGISTRY.resolve(kind, name)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from error
 
 
-def validate_slo_knobs(
-    slo_ms: float | None,
-    slo_per_token_ms: float,
-    device_max_batch_size: int | None,
-    device_max_batch_tokens: int | None,
+def validate_serving_knobs(
+    config, faults: tuple[str, ...], classes: tuple[str, ...]
 ) -> None:
-    """Shared validation of the SLO / per-device-limit config fields.
+    """Shared validation of the knobs ``serve`` and ``serving-sweep`` share.
 
-    One definition for both the ``serve`` and ``serving-sweep`` configs, so
-    the two commands can never drift on what budgets/limits are legal.
+    One definition for both configs (they name these fields identically),
+    so the two commands can never drift on what sizes, budgets, limits,
+    fault schedules, remedies or class mixes are legal.  ``faults`` and
+    ``classes`` are the axis entries: the sweep's tuples, or ``serve``'s
+    single entry.  Every fault entry must build against the fault knobs and
+    ``"none"`` composes with nothing; every class entry is ``"none"`` or a
+    mix that parses against the registered request classes.
     """
-    if slo_ms is not None and slo_ms < 0:
+    if config.requests < 1:
+        raise ValueError("requests must be >= 1")
+    if config.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if config.num_accelerators < 1:
+        raise ValueError("num_accelerators must be >= 1")
+    if config.timeout_ms < 0:
+        raise ValueError("timeout_ms must be >= 0")
+    if config.max_queue_depth is not None and config.max_queue_depth < 1:
+        raise ValueError("max_queue_depth must be >= 1 (or none)")
+    if config.slo_ms is not None and config.slo_ms < 0:
         raise ValueError("slo_ms must be >= 0 (or none for no deadlines)")
-    if slo_per_token_ms < 0:
+    if config.slo_per_token_ms < 0:
         raise ValueError("slo_per_token_ms must be >= 0")
-    if slo_per_token_ms > 0 and slo_ms is None:
+    if config.slo_per_token_ms > 0 and config.slo_ms is None:
         raise ValueError(
             "slo_per_token_ms needs slo_ms (use --slo-ms 0 for purely "
             "proportional budgets)"
         )
-    if device_max_batch_size is not None and device_max_batch_size < 1:
+    if config.device_max_batch_size is not None and config.device_max_batch_size < 1:
         raise ValueError("device_max_batch_size must be >= 1 (or none)")
-    if device_max_batch_tokens is not None and device_max_batch_tokens < 1:
+    if config.device_max_batch_tokens is not None and config.device_max_batch_tokens < 1:
         raise ValueError("device_max_batch_tokens must be >= 1 (or none)")
-
-
-def slo_spec_from_ms(slo_ms: float | None, slo_per_token_ms: float = 0.0) -> SLOSpec | None:
-    """Build the deadline spec from millisecond config knobs (None = no SLO)."""
-    if slo_ms is None:
-        return None
-    return SLOSpec(base_s=slo_ms * 1e-3, per_token_s=slo_per_token_ms * 1e-3)
-
-
-def fault_schedules_from_knobs(
-    spec: str | None,
-    *,
-    mtbf_s: float = 5.0,
-    downtime_s: float = 0.5,
-    multiplier: float = 2.5,
-    duration_s: float = 1.0,
-) -> list[FaultSchedule] | None:
-    """Build the fault-injection spec for one axis entry.
-
-    ``spec`` is a registered fault-schedule name or a ``"+"``-composition
-    (``"crash-restart+straggler"``); ``None`` or ``"none"`` is the
-    fault-free baseline (no injector at all, so the run stays byte-identical
-    to a fault-unaware simulation).  The config knobs map onto each
-    schedule's own fields: ``mtbf_s`` is the crash MTBF, the straggler
-    mean-time-between-slowdowns, and the thermal cycle period;
-    ``duration_s`` is the straggler slow-period mean and the thermal hold;
-    ``multiplier`` is the degraded latency factor of both.  Registered
-    plug-in schedules outside the built-in three are constructed with their
-    own defaults.
-    """
-    if spec is None or spec == "none":
-        return None
-    schedules: list[FaultSchedule] = []
-    for part in (piece.strip() for piece in spec.split("+")):
-        if part in ("crash-restart", "crash"):
-            schedules.append(
-                get_fault_schedule(part, mtbf_s=mtbf_s, downtime_s=downtime_s)
-            )
-        elif part in ("straggler", "slow"):
-            schedules.append(
-                get_fault_schedule(
-                    part, mtbs_s=mtbf_s, duration_s=duration_s, multiplier=multiplier
-                )
-            )
-        elif part in ("thermal-throttle", "thermal"):
-            schedules.append(
-                get_fault_schedule(
-                    part,
-                    period_s=mtbf_s,
-                    ramp_s=0.0,
-                    hold_s=duration_s,
-                    peak_multiplier=multiplier,
-                )
-            )
-        else:
-            schedules.append(get_fault_schedule(part))
-    return schedules
-
-
-def validate_fault_knobs(
-    faults: tuple[str, ...],
-    *,
-    fault_mtbf_s: float,
-    fault_downtime_s: float,
-    fault_multiplier: float,
-    fault_duration_s: float,
-    max_retries: int,
-    retry_backoff_ms: float,
-    blacklist_ms: float,
-) -> None:
-    """Shared validation of the fault-injection / remedy config fields.
-
-    One definition for both the ``serve`` and ``serving-sweep`` configs (the
-    same contract as :func:`validate_slo_knobs`): every axis entry must
-    build against the knobs, ``"none"`` composes with nothing, and the
-    remedy knobs must be non-negative.
-    """
-    if fault_mtbf_s <= 0:
+    if config.fault_mtbf_s <= 0:
         raise ValueError("fault_mtbf_s must be > 0")
-    if fault_downtime_s <= 0:
+    if config.fault_downtime_s <= 0:
         raise ValueError("fault_downtime_s must be > 0")
-    if fault_multiplier < 1.0:
+    if config.fault_multiplier < 1.0:
         raise ValueError("fault_multiplier must be >= 1")
-    if fault_duration_s <= 0:
+    if config.fault_duration_s <= 0:
         raise ValueError("fault_duration_s must be > 0")
-    if max_retries < 0:
+    if config.max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    if retry_backoff_ms < 0:
+    if config.retry_backoff_ms < 0:
         raise ValueError("retry_backoff_ms must be >= 0")
-    if blacklist_ms < 0:
+    if config.blacklist_ms < 0:
         raise ValueError("blacklist_ms must be >= 0")
     for spec in faults:
         parts = [piece.strip() for piece in spec.split("+")]
@@ -632,24 +513,10 @@ def validate_fault_knobs(
                 "composes with nothing"
             )
         try:
-            fault_schedules_from_knobs(
-                spec,
-                mtbf_s=fault_mtbf_s,
-                downtime_s=fault_downtime_s,
-                multiplier=fault_multiplier,
-                duration_s=fault_duration_s,
-            )
+            fault_schedules(config, spec)
         except (KeyError, ValueError) as error:
             message = error.args[0] if error.args else str(error)
             raise ValueError(f"fault axis entry {spec!r}: {message}") from error
-
-
-def validate_class_axis(classes: tuple[str, ...]) -> None:
-    """Shared validation of the request-class axis (``serve`` + sweep).
-
-    Every entry must be either the ``"none"`` untagged baseline or a class
-    mix that parses against the registered request classes.
-    """
     for spec in classes:
         if spec == "none":
             continue
@@ -658,6 +525,70 @@ def validate_class_axis(classes: tuple[str, ...]) -> None:
         except (KeyError, ValueError) as error:
             message = error.args[0] if error.args else str(error)
             raise ValueError(f"class axis entry {spec!r}: {message}") from error
+    if not 0.0 <= config.warmup_fraction < 1.0:
+        raise ValueError("warmup_fraction must be in [0, 1)")
+    if config.cache_length_bucket is not None and config.cache_length_bucket < 1:
+        raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
+    names = split_fleet_spec(config.devices)
+    if not names:
+        raise ValueError("devices must name at least one registered device")
+    for name in names:
+        _resolve_component("device", name)
+
+
+def slo_spec_from_ms(slo_ms: float | None, slo_per_token_ms: float = 0.0) -> SLOSpec | None:
+    """Build the deadline spec from millisecond config knobs (None = no SLO)."""
+    if slo_ms is None:
+        return None
+    return SLOSpec(base_s=slo_ms * 1e-3, per_token_s=slo_per_token_ms * 1e-3)
+
+
+def fault_schedules(config, spec: str | None) -> list[FaultSchedule] | None:
+    """Build the fault-injection spec for one axis entry of a serving config.
+
+    ``spec`` is a registered fault-schedule name or a ``"+"``-composition
+    (``"crash-restart+straggler"``); ``None`` or ``"none"`` is the
+    fault-free baseline (no injector at all, so the run stays byte-identical
+    to a fault-unaware simulation).  The config's fault knobs map onto each
+    schedule's own fields: ``fault_mtbf_s`` is the crash MTBF, the straggler
+    mean-time-between-slowdowns, and the thermal cycle period;
+    ``fault_duration_s`` is the straggler slow-period mean and the thermal
+    hold; ``fault_multiplier`` is the degraded latency factor of both.
+    Registered plug-in schedules outside the built-in three are constructed
+    with their own defaults.
+    """
+    if spec is None or spec == "none":
+        return None
+    schedules: list[FaultSchedule] = []
+    for part in (piece.strip() for piece in spec.split("+")):
+        if part in ("crash-restart", "crash"):
+            schedules.append(
+                get_fault_schedule(
+                    part, mtbf_s=config.fault_mtbf_s, downtime_s=config.fault_downtime_s
+                )
+            )
+        elif part in ("straggler", "slow"):
+            schedules.append(
+                get_fault_schedule(
+                    part,
+                    mtbs_s=config.fault_mtbf_s,
+                    duration_s=config.fault_duration_s,
+                    multiplier=config.fault_multiplier,
+                )
+            )
+        elif part in ("thermal-throttle", "thermal"):
+            schedules.append(
+                get_fault_schedule(
+                    part,
+                    period_s=config.fault_mtbf_s,
+                    ramp_s=0.0,
+                    hold_s=config.fault_duration_s,
+                    peak_multiplier=config.fault_multiplier,
+                )
+            )
+        else:
+            schedules.append(get_fault_schedule(part))
+    return schedules
 
 
 def class_mix_arrivals(arrivals, mix_name: str | None):
@@ -688,27 +619,70 @@ def build_failure_aware_router(name: str, blacklist_s: float):
     return get_router(name)
 
 
-def _build_sweep_fleet(options: dict, dataset_name: str) -> list[Device]:
+def serving_fleet(config, dataset_name: str) -> list[Device]:
+    """The device fleet a ``serve`` / ``serving-sweep`` config runs on."""
     return build_fleet(
-        options["devices"],
-        model=options["model"],
+        config.devices,
+        model=get_model_config(config.model),
         dataset=dataset_name,
-        replicas=options["num_accelerators"],
-        cache_length_bucket=options["cache_length_bucket"],
-        max_batch_size=options["device_max_batch_size"],
-        max_batch_tokens=options["device_max_batch_tokens"],
+        replicas=config.num_accelerators,
+        cache_length_bucket=config.cache_length_bucket,
+        max_batch_size=config.device_max_batch_size,
+        max_batch_tokens=config.device_max_batch_tokens,
     )
 
 
-def _slo_spec(options: dict) -> SLOSpec | None:
-    """The sweep's deadline assignment (None = deadline-blind)."""
-    if options["slo_s"] is None:
-        return None
-    return SLOSpec(base_s=options["slo_s"], per_token_s=options["slo_per_token_s"])
+def simulate_config(
+    config,
+    dataset_name: str,
+    arrivals,
+    *,
+    batch_policy: str,
+    router: str,
+    fault: str | None,
+    classes: str | None,
+    fleet: list[Device] | None = None,
+    **engine_kwargs,
+) -> OnlineServingReport:
+    """One online simulation of a ``serve`` / ``serving-sweep`` config.
+
+    Turns the config's shared knobs into the fleet (unless ``fleet`` is
+    given), batch policy, failure-aware router, fault schedules, class-tagged
+    arrivals, SLO and remedies, and runs :func:`simulate_online`.  The
+    per-run choices -- policy and router names, fault and class-mix entries
+    -- are arguments because the sweep varies them along its axes;
+    ``engine_kwargs`` carries engine options only ``serve`` exposes
+    (admission shedding, class queue limits, autoscaling).
+    """
+    if fleet is None:
+        fleet = serving_fleet(config, dataset_name)
+    return simulate_online(
+        fleet,
+        dataset_name,
+        arrivals=class_mix_arrivals(arrivals, classes),
+        num_requests=config.requests,
+        batch_policy=get_batch_policy(
+            batch_policy,
+            batch_size=config.batch_size,
+            timeout_s=config.timeout_ms * 1e-3,
+            num_buckets=config.num_buckets,
+            bucket_width=config.bucket_width,
+        ),
+        router=build_failure_aware_router(router, config.blacklist_ms * 1e-3),
+        continuous_batching=config.continuous_batching,
+        max_queue_depth=config.max_queue_depth,
+        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
+        faults=fault_schedules(config, fault),
+        hedging=config.hedging,
+        max_retries=config.max_retries,
+        retry_backoff_s=config.retry_backoff_ms * 1e-3,
+        seed=config.seed,
+        **engine_kwargs,
+    )
 
 
 def _capacity_worker(
-    options: dict,
+    config: ServingSweepConfig,
     dataset_name: str,
     fleet: list[Device] | None = None,
     env: dict[str, str | None] | None = None,
@@ -724,22 +698,22 @@ def _capacity_worker(
     """
     apply_env_overrides(env)
     if fleet is None:
-        fleet = _build_sweep_fleet(options, dataset_name)
+        fleet = serving_fleet(config, dataset_name)
     closed = simulate_online(
         fleet,
         dataset_name,
         arrivals=ClosedLoopArrivals(sort_by_length=True),
-        num_requests=options["num_requests"],
-        batch_policy=FixedSizeBatcher(batch_size=options["batch_size"]),
-        router=get_router(options["router"]),
-        continuous_batching=options["continuous_batching"],
-        seed=options["seed"],
+        num_requests=config.requests,
+        batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
+        router=get_router(config.router),
+        continuous_batching=config.continuous_batching,
+        seed=config.seed,
     )
     return closed.sustained_qps, closed.schedule_cache_probes
 
 
 def _point_worker(
-    options: dict,
+    config: ServingSweepConfig,
     dataset_name: str,
     policy_name: str,
     router_name: str,
@@ -763,45 +737,18 @@ def _point_worker(
     byte-identical to a class-unaware run.
     """
     apply_env_overrides(env)
-    remote = fleet is None
-    if fleet is None:
-        fleet = _build_sweep_fleet(options, dataset_name)
     offered = capacity * fraction
-    policy = get_batch_policy(
-        policy_name,
-        batch_size=options["batch_size"],
-        timeout_s=options["timeout_s"],
-        num_buckets=options["num_buckets"],
-        bucket_width=options["bucket_width"],
-    )
-    faults = fault_schedules_from_knobs(
-        fault_name,
-        mtbf_s=options["fault_mtbf_s"],
-        downtime_s=options["fault_downtime_s"],
-        multiplier=options["fault_multiplier"],
-        duration_s=options["fault_duration_s"],
-    )
-    router = build_failure_aware_router(router_name, options["blacklist_s"])
-    arrivals = class_mix_arrivals(
-        get_arrival_process(options["arrival"], rate_qps=offered), mix_name
-    )
-    report = simulate_online(
-        fleet,
+    report = simulate_config(
+        config,
         dataset_name,
-        arrivals=arrivals,
-        num_requests=options["num_requests"],
-        batch_policy=policy,
-        router=router,
-        continuous_batching=options["continuous_batching"],
-        max_queue_depth=options["max_queue_depth"],
-        slo=_slo_spec(options),
-        faults=faults,
-        hedging=options["hedging"],
-        max_retries=options["max_retries"],
-        retry_backoff_s=options["retry_backoff_s"],
-        seed=options["seed"],
+        get_arrival_process(config.arrival, rate_qps=offered),
+        batch_policy=policy_name,
+        router=router_name,
+        fault=fault_name,
+        classes=mix_name,
+        fleet=fleet,
     )
-    if remote:
+    if fleet is None:
         # The embedded cycle-accurate schedules carry lazily-materialized
         # timelines (closures), which do not pickle; the JSON payload never
         # includes them, so parallel runs ship the reports without the
@@ -810,54 +757,19 @@ def _point_worker(
             batch.execution.schedule = None
     return SweepPoint(
         dataset=report.dataset,
-        batch_policy=policy.name,
-        router=router.name,
+        batch_policy=report.batch_policy,
+        router=report.router,
         fault=fault_name,
         classes=mix_name,
         load_fraction=fraction,
         offered_qps=offered,
         capacity_qps=capacity,
         report=report,
-        warmup_fraction=options["warmup_fraction"],
+        warmup_fraction=config.warmup_fraction,
     )
 
 
-def _sweep_impl(
-    datasets: tuple[str, ...] = ("mrpc", "rte", "squad"),
-    load_fractions: tuple[float, ...] = DEFAULT_LOAD_FRACTIONS,
-    batch_policies: tuple[str, ...] = ("timeout",),
-    num_requests: int = 192,
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE,
-    devices: tuple[str, ...] = ("sparse-fpga",),
-    num_accelerators: int = 1,
-    router: str = "least-loaded",
-    routers: tuple[str, ...] = (),
-    arrival: str = "poisson",
-    timeout_s: float = 20e-3,
-    num_buckets: int = 4,
-    bucket_width: float | None = None,
-    continuous_batching: bool = False,
-    max_queue_depth: int | None = None,
-    slo_s: float | None = None,
-    slo_per_token_s: float = 0.0,
-    device_max_batch_size: int | None = None,
-    device_max_batch_tokens: int | None = None,
-    faults: tuple[str, ...] = (),
-    classes: tuple[str, ...] = (),
-    fault_mtbf_s: float = 5.0,
-    fault_downtime_s: float = 0.5,
-    fault_multiplier: float = 2.5,
-    fault_duration_s: float = 1.0,
-    hedging: bool = False,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.05,
-    blacklist_s: float = 0.0,
-    warmup_fraction: float = 0.0,
-    cache_length_bucket: int | None = None,
-    jobs: int = 1,
-    model: ModelConfig = BERT_BASE,
-    seed: int = global_config.DEFAULT_SEED,
-) -> ServingSweepResult:
+def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     """Sweep offered load for each dataset and batch policy.
 
     The offered QPS at each point is ``load_fraction`` times the fleet's
@@ -866,13 +778,13 @@ def _sweep_impl(
     ``routers`` pairs a routing policy with each batch policy (SLO
     comparisons run e.g. ``timeout``+``least-loaded`` against
     ``deadline``+``cost-model`` at the same offered loads); empty means
-    every policy uses ``router``.  ``slo_s``/``slo_per_token_s`` stamp every
-    stream with deadlines, turning on the attainment/goodput columns.
+    every policy uses ``router``.  ``slo_ms``/``slo_per_token_ms`` stamp
+    every stream with deadlines, turning on the attainment/goodput columns.
 
     ``faults`` adds a fault-injection axis to the grid: every (dataset,
     policy+router, load) cell runs once per entry (``"none"`` is the
     fault-free baseline; ``"+"`` composes schedules), with the remedy knobs
-    (``hedging``, ``max_retries``/``retry_backoff_s``, ``blacklist_s``)
+    (``hedging``, ``max_retries``/``retry_backoff_ms``, ``blacklist_ms``)
     applied to every faulty point.  Capacity is always measured fault-free
     -- the load fractions mean the same offered QPS on every row, so
     attainment-under-faults is comparable across the fault axis.  An empty
@@ -887,97 +799,65 @@ def _sweep_impl(
     empty ``classes`` -- stay byte-identical to a class-unaware run.
 
     ``jobs > 1`` fans the capacity measurements and the (dataset, policy,
-    load) grid across a :class:`~concurrent.futures.ProcessPoolExecutor`.
-    Results are collected in grid order and every point is seeded
-    independently, so the sweep (and its JSON payload) is byte-identical to
-    the serial run for a fixed seed; the only observable difference is that
-    parallel runs drop the in-memory ``BatchRecord.execution.schedule``
-    objects (they never appear in the payload).
+    load) grid across a :class:`~concurrent.futures.ProcessPoolExecutor`;
+    the workers receive the (picklable, frozen) config itself.  Results are
+    collected in grid order and every point is seeded independently, so the
+    sweep (and its JSON payload) is byte-identical to the serial run for a
+    fixed seed; the only observable difference is that parallel runs drop
+    the in-memory ``BatchRecord.execution.schedule`` objects (they never
+    appear in the payload).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if routers and len(routers) != len(batch_policies):
-        raise ValueError("routers must pair elementwise with batch_policies")
-    pairs = list(zip(batch_policies, routers or (router,) * len(batch_policies)))
-    slo = (
-        None
-        if slo_s is None
-        else SLOSpec(base_s=slo_s, per_token_s=slo_per_token_s)
+    datasets = config.datasets
+    pairs = list(
+        zip(
+            config.batch_policies,
+            config.routers or (config.router,) * len(config.batch_policies),
+        )
     )
-    fault_axis: tuple[str | None, ...] = tuple(faults) if faults else (None,)
-    class_axis: tuple[str | None, ...] = tuple(classes) if classes else (None,)
+    slo = slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms)
     result = ServingSweepResult(
-        model=model.name,
-        num_accelerators=num_accelerators,
-        batch_size=batch_size,
-        num_requests=num_requests,
-        devices=tuple(split_fleet_spec(devices)),
-        warmup_fraction=warmup_fraction,
-        continuous_batching=continuous_batching,
-        cache_length_bucket=cache_length_bucket,
+        model=get_model_config(config.model).name,
+        num_accelerators=config.num_accelerators,
+        batch_size=config.batch_size,
+        num_requests=config.requests,
+        devices=tuple(split_fleet_spec(config.devices)),
+        warmup_fraction=config.warmup_fraction,
+        continuous_batching=config.continuous_batching,
+        cache_length_bucket=config.cache_length_bucket,
         slo=slo.to_dict() if slo is not None else None,
-        faults=tuple(faults),
+        faults=config.faults,
         remedies=(
             {
-                "hedging": hedging,
-                "max_retries": max_retries,
-                "retry_backoff_s": retry_backoff_s,
-                "blacklist_s": blacklist_s,
+                "hedging": config.hedging,
+                "max_retries": config.max_retries,
+                "retry_backoff_s": config.retry_backoff_ms * 1e-3,
+                "blacklist_s": config.blacklist_ms * 1e-3,
             }
-            if faults
+            if config.faults
             else None
         ),
-        classes=tuple(classes),
+        classes=config.classes,
     )
-    options = {
-        "devices": tuple(devices),
-        "model": model,
-        "num_accelerators": num_accelerators,
-        "cache_length_bucket": cache_length_bucket,
-        "num_requests": num_requests,
-        "batch_size": batch_size,
-        "router": router,
-        "arrival": arrival,
-        "timeout_s": timeout_s,
-        "num_buckets": num_buckets,
-        "bucket_width": bucket_width,
-        "continuous_batching": continuous_batching,
-        "max_queue_depth": max_queue_depth,
-        "slo_s": slo_s,
-        "slo_per_token_s": slo_per_token_s,
-        "device_max_batch_size": device_max_batch_size,
-        "device_max_batch_tokens": device_max_batch_tokens,
-        "fault_mtbf_s": fault_mtbf_s,
-        "fault_downtime_s": fault_downtime_s,
-        "fault_multiplier": fault_multiplier,
-        "fault_duration_s": fault_duration_s,
-        "hedging": hedging,
-        "max_retries": max_retries,
-        "retry_backoff_s": retry_backoff_s,
-        "blacklist_s": blacklist_s,
-        "warmup_fraction": warmup_fraction,
-        "seed": seed,
-    }
     grid = [
         (dataset_name, policy_name, router_name, fault_name, mix_name, fraction)
         for dataset_name in datasets
         for policy_name, router_name in pairs
-        for fault_name in fault_axis
-        for mix_name in class_axis
-        for fraction in load_fractions
+        for fault_name in config.faults or (None,)
+        for mix_name in config.classes or (None,)
+        for fraction in config.load_fractions
     ]
 
     capacities: dict[str, float] = {}
     capacity_probes: list[dict | None] = []
-    if jobs > 1:
+    if config.jobs > 1:
         # Captured at submit time and re-exported inside every worker, so
         # --jobs N honors REPRO_PIPELINE_ENGINE / REPRO_SCHEDULE_CACHE
         # identically to a serial run regardless of what environment the
         # worker processes started with.
         env = capture_env_overrides()
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=_MP_CONTEXT) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=_MP_CONTEXT) as pool:
             capacity_futures = [
-                pool.submit(_capacity_worker, options, dataset_name, env=env)
+                pool.submit(_capacity_worker, config, dataset_name, env=env)
                 for dataset_name in datasets
             ]
             for dataset_name, future in zip(datasets, capacity_futures):
@@ -985,7 +865,7 @@ def _sweep_impl(
                 capacity_probes.append(probes)
             point_futures = [
                 pool.submit(
-                    _point_worker, options, dataset_name, policy_name, router_name,
+                    _point_worker, config, dataset_name, policy_name, router_name,
                     fault_name, mix_name, fraction, capacities[dataset_name], env=env,
                 )
                 for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
@@ -994,14 +874,14 @@ def _sweep_impl(
     else:
         fleets: dict[str, list[Device]] = {}
         for dataset_name in datasets:
-            fleets[dataset_name] = _build_sweep_fleet(options, dataset_name)
+            fleets[dataset_name] = serving_fleet(config, dataset_name)
             capacities[dataset_name], probes = _capacity_worker(
-                options, dataset_name, fleet=fleets[dataset_name]
+                config, dataset_name, fleet=fleets[dataset_name]
             )
             capacity_probes.append(probes)
         points = [
             _point_worker(
-                options, dataset_name, policy_name, router_name, fault_name,
+                config, dataset_name, policy_name, router_name, fault_name,
                 mix_name, fraction, capacities[dataset_name], fleet=fleets[dataset_name],
             )
             for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
@@ -1102,45 +982,6 @@ def _replay_cache_accounting(
         }
 
 
-def _run_spec(config: ServingSweepConfig) -> ServingSweepResult:
-    return _sweep_impl(
-        datasets=config.datasets,
-        load_fractions=config.load_fractions,
-        batch_policies=config.batch_policies,
-        num_requests=config.requests,
-        batch_size=config.batch_size,
-        devices=config.devices,
-        num_accelerators=config.num_accelerators,
-        router=config.router,
-        routers=config.routers,
-        arrival=config.arrival,
-        timeout_s=config.timeout_ms * 1e-3,
-        num_buckets=config.num_buckets,
-        bucket_width=config.bucket_width,
-        continuous_batching=config.continuous_batching,
-        max_queue_depth=config.max_queue_depth,
-        slo_s=None if config.slo_ms is None else config.slo_ms * 1e-3,
-        slo_per_token_s=config.slo_per_token_ms * 1e-3,
-        device_max_batch_size=config.device_max_batch_size,
-        device_max_batch_tokens=config.device_max_batch_tokens,
-        faults=config.faults,
-        classes=config.classes,
-        fault_mtbf_s=config.fault_mtbf_s,
-        fault_downtime_s=config.fault_downtime_s,
-        fault_multiplier=config.fault_multiplier,
-        fault_duration_s=config.fault_duration_s,
-        hedging=config.hedging,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_ms * 1e-3,
-        blacklist_s=config.blacklist_ms * 1e-3,
-        warmup_fraction=config.warmup_fraction,
-        cache_length_bucket=config.cache_length_bucket,
-        jobs=config.jobs,
-        model=get_model_config(config.model),
-        seed=config.seed,
-    )
-
-
 def render_sweep(result: ServingSweepResult) -> str:
     """Render the sweep as the CLI's plain-text report."""
     text = format_table(
@@ -1189,46 +1030,10 @@ SPEC = register_experiment(
         title="Latency vs offered load sweep",
         description="latency-vs-load sweep of the online serving simulator",
         config_cls=ServingSweepConfig,
-        run=_run_spec,
+        run=_sweep_impl,
         render=render_sweep,
         order=90,
         include_in_all=False,
     )
 )
 
-
-def run_serving_sweep(
-    datasets: tuple[str, ...] = ("mrpc", "rte", "squad"),
-    load_fractions: tuple[float, ...] = DEFAULT_LOAD_FRACTIONS,
-    batch_policies: tuple[str, ...] = ("timeout",),
-    num_requests: int = 192,
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE,
-    num_accelerators: int = 1,
-    router: str = "least-loaded",
-    arrival: str = "poisson",
-    timeout_s: float = 20e-3,
-    model: ModelConfig = BERT_BASE,
-    seed: int = global_config.DEFAULT_SEED,
-) -> ServingSweepResult:
-    """Deprecated: use ``run_experiment("serving-sweep", ServingSweepConfig(...))``.
-
-    Keeps the legacy serving discipline -- a homogeneous sparse-FPGA fleet,
-    block-per-batch devices, no warm-up discarding -- but the capacity
-    reference is now measured by draining the *whole fleet* closed-loop
-    (instead of one device's drain rate times the fleet size), so recorded
-    capacity/offered-QPS numbers shift by ~1% on multi-device sweeps.
-    """
-    deprecated_call("run_serving_sweep", 'run_experiment("serving-sweep", ...)')
-    return _sweep_impl(
-        datasets=datasets,
-        load_fractions=load_fractions,
-        batch_policies=batch_policies,
-        num_requests=num_requests,
-        batch_size=batch_size,
-        num_accelerators=num_accelerators,
-        router=router,
-        arrival=arrival,
-        timeout_s=timeout_s,
-        model=model,
-        seed=seed,
-    )

@@ -14,11 +14,10 @@ from .. import config as global_config
 from ..datasets.length_distributions import length_statistics, sample_lengths
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
-from ..experiments.spec import deprecated_call
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO
 from .report import format_table
 
-__all__ = ["Table1Config", "Table1Result", "run_table1"]
+__all__ = ["Table1Config", "Table1Result"]
 
 
 @dataclass
@@ -105,12 +104,3 @@ SPEC = register_experiment(
         include_in_all=True,
     )
 )
-
-
-def run_table1(
-    num_sampled_sequences: int = 2000,
-    seed: int = global_config.DEFAULT_SEED,
-) -> Table1Result:
-    """Deprecated: use ``run_experiment("table1", Table1Config(...))`` instead."""
-    deprecated_call("run_table1", 'run_experiment("table1", ...)')
-    return _table1_impl(num_sampled_sequences, seed)

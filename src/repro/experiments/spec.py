@@ -19,7 +19,6 @@ machine-readable payload (``result.to_dict()``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -174,13 +173,4 @@ def run_report(
         result=result,
         text=spec.render(result),
         payload=result_payload(spec, cfg, result),
-    )
-
-
-def deprecated_call(old: str, new: str) -> None:
-    """Emit the uniform deprecation warning the legacy ``run_*`` shims use."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.experiments)",
-        DeprecationWarning,
-        stacklevel=3,
     )

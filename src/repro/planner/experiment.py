@@ -19,19 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import config as global_config
-from ..devices import build_fleet, split_fleet_spec
+from ..devices import split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
 from ..registry import REGISTRY
-from ..serving import TraceArrivals, get_arrival_process, get_batch_policy, get_router, simulate_online
+from ..serving import get_arrival_process
 from ..serving.arrivals import _is_rate_driven
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
 from ..evaluation.report import format_key_values, format_table
-from ..evaluation.serving_sweep import slo_spec_from_ms
 from .search import (
     PlanSearchResult,
     load_trace,
     reference_trace_path,
+    replay_composition,
     search_fleets,
 )
 
@@ -283,29 +283,9 @@ def _autoscale_comparison(config: PlanConfig, options: dict, search: PlanSearchR
     chosen = search.chosen
     if config.compare_autoscaler is None or chosen is None:
         return None
-    names: list[str] = []
-    for name, count in zip(chosen.devices, chosen.counts):
-        names.extend([name] * count)
-    fleet = build_fleet(
-        names,
-        model=options["model"],
-        dataset=options["dataset"],
-        cache_length_bucket=options["cache_length_bucket"],
-    )
-    report = simulate_online(
-        fleet,
-        options["dataset"],
-        TraceArrivals(trace=options["trace"]),
-        num_requests=options["num_requests"],
-        batch_policy=get_batch_policy(
-            options["batch_policy"],
-            batch_size=options["batch_size"],
-            timeout_s=options["timeout_ms"] * 1e-3,
-        ),
-        router=get_router(options["routing"]),
-        seed=options["seed"],
-        continuous_batching=options["continuous_batching"],
-        slo=slo_spec_from_ms(options["slo_ms"], options["slo_per_token_ms"]),
+    report = replay_composition(
+        options,
+        chosen.counts,
         autoscaler=config.compare_autoscaler,
         provisioning_lag_s=config.provisioning_lag_s,
         autoscale_interval_s=config.autoscale_interval_s,

@@ -49,7 +49,7 @@ from ..devices.schedule_cache import persist_schedule_cache, persistent_cache_di
 from ..evaluation.env_overrides import apply_env_overrides, capture_env_overrides
 from ..evaluation.serving_sweep import slo_spec_from_ms
 from ..serving.arrivals import TraceArrivals
-from ..serving.engine import simulate_online
+from ..serving.engine import OnlineServingReport, simulate_online
 from ..serving.policies import get_batch_policy
 from ..serving.routing import get_router
 
@@ -62,6 +62,7 @@ __all__ = [
     "load_trace",
     "pareto_frontier",
     "reference_trace_path",
+    "replay_composition",
     "search_fleets",
 ]
 
@@ -206,6 +207,32 @@ def _composition_fleet(options: dict, counts: tuple[int, ...]) -> list[Device]:
     )
 
 
+def replay_composition(
+    options: dict, counts: tuple[int, ...], **engine_kwargs
+) -> OnlineServingReport:
+    """Replay the plan's trace on one composition as a static fleet.
+
+    ``engine_kwargs`` are extra :func:`simulate_online` options, e.g. the
+    autoscaler knobs of the ``plan`` experiment's elastic-pool comparison.
+    """
+    return simulate_online(
+        _composition_fleet(options, counts),
+        options["dataset"],
+        TraceArrivals(trace=options["trace"]),
+        num_requests=options["num_requests"],
+        batch_policy=get_batch_policy(
+            options["batch_policy"],
+            batch_size=options["batch_size"],
+            timeout_s=options["timeout_ms"] * 1e-3,
+        ),
+        router=get_router(options["routing"]),
+        seed=options["seed"],
+        continuous_batching=options["continuous_batching"],
+        slo=slo_spec_from_ms(options["slo_ms"], options["slo_per_token_ms"]),
+        **engine_kwargs,
+    )
+
+
 def evaluate_composition(options: dict, counts: tuple[int, ...]) -> dict:
     """Replay the plan's trace on one composition; return plain scalars only.
 
@@ -213,25 +240,7 @@ def evaluate_composition(options: dict, counts: tuple[int, ...]) -> dict:
     runtime-dependent (timings, cache counters), because ``--jobs 1`` and
     ``--jobs 4`` must produce byte-identical plans.
     """
-    fleet = _composition_fleet(options, counts)
-    arrivals = TraceArrivals(trace=options["trace"])
-    policy = get_batch_policy(
-        options["batch_policy"],
-        batch_size=options["batch_size"],
-        timeout_s=options["timeout_ms"] * 1e-3,
-    )
-    router = get_router(options["routing"])
-    report = simulate_online(
-        fleet,
-        options["dataset"],
-        arrivals,
-        num_requests=options["num_requests"],
-        batch_policy=policy,
-        router=router,
-        seed=options["seed"],
-        continuous_batching=options["continuous_batching"],
-        slo=slo_spec_from_ms(options["slo_ms"], options["slo_per_token_ms"]),
-    )
+    report = replay_composition(options, counts)
     return {
         "attainment": report.attainment_rate,
         "goodput_qps": report.goodput_qps,

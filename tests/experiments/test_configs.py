@@ -160,3 +160,10 @@ class TestValidation:
     def test_nonpositive_load_fractions_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
             ServingSweepConfig(load_fractions=(0.5, 0.0))
+
+    def test_shed_on_predicted_miss_needs_a_single_online_run(self):
+        # The load sweep has no arrival-time shedding, so the flag would be
+        # recorded in the config yet silently ignored.
+        with pytest.raises(ValueError, match="needs a single online run"):
+            ServeConfig(slo_ms=1.0, shed_on_predicted_miss=True)
+        assert ServeConfig(qps=300.0, slo_ms=1.0, shed_on_predicted_miss=True).qps == 300.0

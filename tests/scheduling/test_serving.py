@@ -6,7 +6,7 @@ import pytest
 
 from repro.hardware.accelerator import build_sparse_accelerator
 from repro.scheduling.baselines import PaddedScheduler
-from repro.scheduling.serving import simulate_serving
+from repro.serving import simulate_serving
 from repro.transformer.configs import MRPC, RTE, ModelConfig
 
 _SMALL_MODEL = ModelConfig(name="serve-2L", num_layers=2, hidden_dim=768, num_heads=12)

@@ -188,26 +188,6 @@ class TestClosedLoopEquivalence:
             report.online_report.sustained_qps
         )
 
-    def test_legacy_module_still_importable_with_deprecation(self):
-        import importlib
-        import warnings
-
-        import repro.scheduling.serving as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(legacy)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.scheduling import simulate_serving as lazy
-
-        assert lazy is simulate_serving
-
-    def test_lazy_reexport_rejects_unknown_names(self):
-        import repro.scheduling
-
-        with pytest.raises(AttributeError):
-            repro.scheduling.no_such_symbol
-
 
 class TestOpenLoopBehaviour:
     def test_p99_latency_rises_with_offered_load(self, accelerator, capacity_qps):
