@@ -84,6 +84,31 @@ SCENARIOS = {
             "autoscale_interval_s": 0.02,
         },
     ),
+    # The arrival gate judges against the initial pool while scale-ups,
+    # crashes, blacklisting and hedges change the fleet behind it.
+    "serve-online-autoscale-gate": (
+        "serve",
+        {
+            "dataset": "mrpc",
+            "qps": 300.0,
+            "requests": 96,
+            "devices": ("gpu-rtx6000",),
+            "num_accelerators": 4,
+            "min_devices": 2,
+            "slo_ms": 80.0,
+            "batch_policy": "deadline",
+            "routing": "cost-model",
+            "blacklist_ms": 20.0,
+            "faults": "crash-restart",
+            "fault_mtbf_s": 0.15,
+            "fault_downtime_s": 0.02,
+            "hedging": True,
+            "shed_on_predicted_miss": True,
+            "autoscaler": "predicted-attainment",
+            "provisioning_lag_s": 0.02,
+            "autoscale_interval_s": 0.01,
+        },
+    ),
     "serve-sweep-axes": (
         "serve",
         {
@@ -119,6 +144,7 @@ SCENARIOS = {
 EXPECTED = {
     "plan-compare-autoscaler": "dfda109096a26fa526d4c5e00fd040b07d5684796db47f66211a13ee1114e970",
     "serve-online-autoscale": "8edc44b933e87d7a7bba45e89c7cf8357b847a863ff2b5e380573dc9c6b421fe",
+    "serve-online-autoscale-gate": "8a6f58780121a0f7935b42a4bfd432f5b624be84eb4763eeaaa9f6752cc67e18",
     "serve-online-chaos": "7367bce6a145da0aa14ab16ada07ce8cdcb6abbe581a7911113aa79a2db0b6ed",
     "serve-sweep-axes": "3c06ef6f0c64535e65768a1b6748b4dc642e5aca6fe03a028249d4a6e0330f3e",
     "serving-sweep-jobs1": "92797d50d0110140bdaeac8eb2a20c9991e69da64e76209c4ff8a1505127d523",
