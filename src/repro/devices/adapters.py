@@ -236,11 +236,8 @@ class CycleAccurateDevice(Device):
         #: its own process-lifetime totals).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Probe accounting for deterministic replay: how many schedule
-        #: lookups this run issued, the set of distinct key fingerprints,
-        #: and the stamped lookup stream in issue order.
-        self.cache_probe_total = 0
-        self.cache_probe_unique: set[str] = set()
+        #: Probe accounting for deterministic replay: this run's schedule
+        #: lookups in issue order, each a (process-wide stamp, key digest).
         self.cache_probe_sequence: list[tuple[int, str]] = []
         self._cache_active = schedule_cache_enabled()
         if self._cache_active and self._schedule_cache is GLOBAL_SCHEDULE_CACHE:
@@ -344,8 +341,6 @@ class CycleAccurateDevice(Device):
                 entry.key_digest = _key_digest(key)
                 self._schedule_cache.store(key, entry)
         if use_cache:
-            self.cache_probe_total += 1
-            self.cache_probe_unique.add(entry.key_digest)
             self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
         order = self._issue_order(billed, mode)
         if order is None:
@@ -381,20 +376,16 @@ class CycleAccurateDevice(Device):
             "hit_rate": self.cache_hits / total if total else 0.0,
         }
 
-    def schedule_cache_probes(self) -> dict | None:
-        """Per-run probe stream summary for deterministic replay.
+    def schedule_cache_probes(self) -> list[tuple[int, str]] | None:
+        """This run's stamped probe stream, for deterministic replay.
 
-        The sweep harness unions these over its grid (in canonical order) to
+        The sweep harness replays these over its grid (in canonical order) to
         report hit rates that are byte-identical regardless of how many
         worker processes executed the runs.
         """
         if not self._cache_active:
             return None
-        return {
-            "total": self.cache_probe_total,
-            "unique": sorted(self.cache_probe_unique),
-            "sequence": list(self.cache_probe_sequence),
-        }
+        return list(self.cache_probe_sequence)
 
     def describe(self) -> dict:
         return {

@@ -289,8 +289,9 @@ class Device:
         """Per-run schedule-cache counters, when the backend caches schedules."""
         return None
 
-    def schedule_cache_probes(self) -> dict | None:
-        """Per-run schedule-cache probe summary (replayable hit accounting)."""
+    def schedule_cache_probes(self) -> list[tuple[int, str]] | None:
+        """Per-run (stamp, key digest) schedule-cache probe stream (replayable
+        hit accounting), when the backend caches schedules."""
         return None
 
     # ------------------------------------------------------------------

@@ -66,9 +66,9 @@ class ServeConfig(ExperimentConfig):
     requests: int = cfg_field(192, help="number of requests to simulate")
     batch_size: int = global_config.DEFAULT_BATCH_SIZE
     # Any registered name or alias is accepted (validated against the
-    # registry below), so plug-in policies/arrivals/devices work unchanged;
-    # plug-in routers see Device fleets and should read backlogs via
-    # Router.backlog_seconds (see repro.serving.routing).
+    # registry below), so plug-in components work unchanged: they subclass
+    # Device, Router or BatchPolicy, whose base classes give every hook the
+    # engine calls a default.
     batch_policy: str = cfg_field(
         "timeout", help="batch formation (fixed, timeout, bucketed, or plug-in)"
     )

@@ -16,6 +16,7 @@ devices, empty queues) does not dilute the steady-state statistics.
 
 from __future__ import annotations
 
+import inspect
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -605,17 +606,15 @@ def class_mix_arrivals(arrivals, mix_name: str | None):
 def build_failure_aware_router(name: str, blacklist_s: float):
     """Build a router, passing the circuit-breaker knob when it takes one.
 
-    ``blacklist_s > 0`` is forwarded to routers that accept it (the
+    ``blacklist_s > 0`` is forwarded to routers whose constructor takes it (the
     cost-model router's crash blacklist); routers without the knob -- and
     every router at ``blacklist_s == 0`` -- are built exactly as
     :func:`~repro.serving.routing.get_router` would, so fault-free sweeps
     keep their historical routing byte for byte.
     """
-    if blacklist_s > 0:
-        try:
-            return get_router(name, blacklist_s=blacklist_s)
-        except TypeError:
-            pass
+    takes_knob = "blacklist_s" in inspect.signature(REGISTRY.resolve("router", name)).parameters
+    if blacklist_s > 0 and takes_knob:
+        return get_router(name, blacklist_s=blacklist_s)
     return get_router(name)
 
 
@@ -686,13 +685,13 @@ def _capacity_worker(
     dataset_name: str,
     fleet: list[Device] | None = None,
     env: dict[str, str | None] | None = None,
-) -> tuple[float, dict | None]:
+) -> tuple[float, list[str] | None]:
     """Closed-loop drain rate of the whole fleet (sequences/second).
 
     Every request is queued at t=0 in globally sorted order and drained in
     fixed batches -- the fleet generalization of the legacy single-device
     capacity measurement, valid for heterogeneous fleets too.  Returns the
-    drain rate plus the run's schedule-cache probe summary (for the sweep's
+    drain rate plus the run's schedule-cache probe stream (for the sweep's
     deterministic hit accounting).  Runs inline (``fleet`` provided) or in a
     worker process (``fleet`` built here, submit-time ``env`` re-exported).
     """
@@ -848,7 +847,7 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     ]
 
     capacities: dict[str, float] = {}
-    capacity_probes: list[dict | None] = []
+    capacity_probes: list[list[str] | None] = []
     if config.jobs > 1:
         # Captured at submit time and re-exported inside every worker, so
         # --jobs N honors REPRO_PIPELINE_ENGINE / REPRO_SCHEDULE_CACHE
@@ -895,22 +894,17 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
 
 def _replay_cache_accounting(
     result: ServingSweepResult,
-    capacity_probes: list[dict | None],
+    capacity_probes: list[list[str] | None],
     max_entries: int | None = None,
 ) -> None:
     """Fill deterministic schedule-cache statistics for every sweep point.
 
-    Replays each run's ordered probe stream (``sequence`` of key digests)
+    Replays each run's ordered probe stream (key digests in lookup order)
     against an LRU of the shared cache's capacity in canonical order --
     capacity runs first, then the (dataset, policy, load) grid -- which is
     exactly the shared cache's behavior in a fresh serial process,
     *including* evictions past ``max_entries`` unique batch shapes.  The
     resulting hit rates are byte-identical for any ``jobs`` setting.
-
-    Probe summaries without a ``sequence`` (produced by older serialized
-    reports) fall back to the seen-set approximation, which is exact only
-    while the replay never evicts; ``num_evictions`` stays authoritative
-    either way because the fallback cannot insert past the cap unnoticed.
     """
     if max_entries is None:
         max_entries = GLOBAL_SCHEDULE_CACHE.max_entries
@@ -920,50 +914,31 @@ def _replay_cache_accounting(
     total_evictions = 0
     any_probes = False
 
-    def account(probes: dict | None) -> dict | None:
+    def account(probes: list[str] | None) -> dict | None:
         nonlocal total_hits, total_probes, total_evictions, any_probes
         if probes is None:
             return None
         any_probes = True
-        sequence = probes.get("sequence")
         hits = 0
         misses = 0
         evictions = 0
-        if sequence is None:
-            # Legacy summary: distinct digests only.  Treat every distinct
-            # digest as one miss (exact below capacity) and touch the LRU so
-            # later runs still see them.
-            for digest in probes["unique"]:
-                if digest in lru:
-                    lru.move_to_end(digest)
-                else:
-                    misses += 1
-                    lru[digest] = None
-                    if len(lru) > max_entries:
-                        lru.popitem(last=False)
-                        evictions += 1
-            hits = probes["total"] - misses
-        else:
-            for item in sequence:
-                # Fleet-merged streams carry bare digests; per-device streams
-                # still carry their (stamp, digest) merge keys.
-                digest = item[1] if isinstance(item, tuple) else item
-                if digest in lru:
-                    lru.move_to_end(digest)
-                    hits += 1
-                else:
-                    misses += 1
-                    lru[digest] = None
-                    if len(lru) > max_entries:
-                        lru.popitem(last=False)
-                        evictions += 1
+        for digest in probes:
+            if digest in lru:
+                lru.move_to_end(digest)
+                hits += 1
+            else:
+                misses += 1
+                lru[digest] = None
+                if len(lru) > max_entries:
+                    lru.popitem(last=False)
+                    evictions += 1
         total_hits += hits
-        total_probes += probes["total"]
+        total_probes += len(probes)
         total_evictions += evictions
         stats = {
             "hits": hits,
             "misses": misses,
-            "hit_rate": hits / probes["total"] if probes["total"] else 0.0,
+            "hit_rate": hits / len(probes) if probes else 0.0,
         }
         if evictions:
             stats["num_evictions"] = evictions

@@ -351,7 +351,7 @@ class LiveGateway:
     # ------------------------------------------------------------------
 
     def _plan_hedge_mirror(self, primary: PlannedBatch, now: float) -> PlannedBatch | None:
-        """Mirror ``primary`` on the best other device (first completion wins).
+        """Mirror ``primary`` on the device :meth:`DispatchCore.plan_mirror` picks.
 
         The mirror is a full second copy: it gets its own batch_id, books
         the mirror device's serving clocks, and runs on that device's actor.
@@ -363,38 +363,14 @@ class LiveGateway:
         clocks stay conservative.  ``None`` when no other device admits the
         whole batch.
         """
-        lengths = [r.length for r in primary.requests]
-        mirror_index = None
-        mirror_start = None
-        for index, device in enumerate(self.fleet):
-            if index == primary.device_index:
-                continue
-            if device.admissible_prefix(lengths) < len(lengths):
-                continue
-            start = device.next_start(now)
-            if mirror_start is None or (start, index) < (mirror_start, mirror_index):
-                mirror_index, mirror_start = index, start
-        if mirror_index is None:
+        mirror = self.core.plan_mirror(primary, now)
+        if mirror is None:
             return None
-        device = self.fleet[mirror_index]
-        execution = device.execute(lengths)
-        mirror_id = self.core._next_batch_id
-        self.core._next_batch_id += 1
-        mirror = PlannedBatch(
-            batch_id=mirror_id,
-            device_index=mirror_index,
-            requests=primary.requests,
-            execution=execution,
-            dispatch_time=now,
-            start_time=mirror_start,
-        )
-        device.dispatch(execution, mirror_start)
-        self._hedge_peer[primary.batch_id] = mirror_id
-        self._hedge_peer[mirror_id] = primary.batch_id
-        self._hedge_mirrors.add(mirror_id)
-        self.report.num_hedged += 1
-        self.report.devices[primary.device_index].num_hedged += 1
-        self.report.devices[mirror_index].num_hedged += 1
+        mirror.batch_id = self.core.take_batch_id()
+        self.fleet[mirror.device_index].dispatch(mirror.execution, mirror.start_time)
+        self._hedge_peer[primary.batch_id] = mirror.batch_id
+        self._hedge_peer[mirror.batch_id] = primary.batch_id
+        self._hedge_mirrors.add(mirror.batch_id)
         return mirror
 
     def _hedge_cancelled(self, planned: PlannedBatch) -> bool:

@@ -126,7 +126,12 @@ class LiveServer:
 
     @staticmethod
     async def _read_body(reader: asyncio.StreamReader, headers: dict[str, str]) -> dict:
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            raise _BadRequest("Content-Length must be an integer") from None
+        if length < 0:
+            raise _BadRequest("Content-Length must be >= 0")
         if length > _MAX_BODY_BYTES:
             raise _BadRequest("request body too large")
         if length == 0:
@@ -196,14 +201,25 @@ class LiveServer:
             raise _BadRequest("'length' must be an integer") from None
         if length < 1:
             raise _BadRequest("'length' must be >= 1")
+        try:
+            output_len = int(body.get("output_len", 1))
+        except (TypeError, ValueError):
+            raise _BadRequest("'output_len' must be an integer") from None
+        if output_len < 1:
+            raise _BadRequest("'output_len' must be >= 1")
         slo_ms = body.get("slo_ms")
+        if slo_ms is not None:
+            try:
+                slo_ms = float(slo_ms)
+            except (TypeError, ValueError):
+                raise _BadRequest("'slo_ms' must be a number") from None
         request_class = body.get("class")
         if request_class is not None and not isinstance(request_class, str):
             raise _BadRequest("'class' must be a registered request-class name")
         return {
             "length": length,
-            "output_len": int(body.get("output_len", 1)),
-            "slo_ms": float(slo_ms) if slo_ms is not None else None,
+            "output_len": output_len,
+            "slo_ms": slo_ms,
             "request_class": request_class,
         }
 

@@ -266,7 +266,7 @@ def _catalog_prices(options: dict) -> tuple[float, ...]:
     prices = []
     for name in options["devices"]:
         device = build_device(name, model=options["model"], dataset=options["dataset"])
-        price = getattr(device, "price_per_hour_usd", None)
+        price = device.price_per_hour_usd
         if price is None or price <= 0:
             raise ValueError(
                 f"device '{name}' has no positive price_per_hour_usd; the "

@@ -37,7 +37,8 @@ The core also implements **deadline-aware admission at arrival**
 no device's earliest start plus its single-request service estimate can meet
 the request's deadline.  The bound is optimistic (device clocks only move
 later; the queue ahead is ignored), so every shed is a provable miss -- the
-arrival-time sibling of the EDF batcher's provably-late shedding.
+same :class:`~repro.serving.slo.PredictedMissGate` the EDF batcher sheds
+provably-late requests with.
 """
 
 from __future__ import annotations
@@ -52,13 +53,12 @@ from .arrivals import ArrivalProcess
 from .policies import BatchPolicy, FixedSizeBatcher, LengthBucketedBatcher
 from .request import Request, RequestRecord
 from .routing import LeastLoadedRouter, LengthShardedRouter, Router
-from .slo import SLOSpec, assign_deadlines
+from .slo import PredictedMissGate, SLOSpec, assign_deadlines
 
 __all__ = [
     "DispatchCore",
     "EncoderPhase",
     "PlannedBatch",
-    "PredictedMissGate",
     "collect_device_stats",
     "note_shed",
     "prepare_components",
@@ -74,13 +74,10 @@ def note_shed(report, request: Request, cause: str) -> None:
 
     The cause map (``report.shed_causes``, request_id -> ``"shed"`` /
     ``"shed-predicted"`` / ``"late"`` / ``"crashed"``) is what per-class
-    accounting uses to keep the per-cause counters disjoint; reports that
-    predate it (plain dict stand-ins) just skip the bookkeeping.
+    accounting uses to keep the per-cause counters disjoint.
     """
     report.shed_requests.append(request)
-    causes = getattr(report, "shed_causes", None)
-    if causes is not None:
-        causes[request.request_id] = cause
+    report.shed_causes[request.request_id] = cause
 
 
 def prepare_stream(
@@ -124,11 +121,8 @@ def prepare_components(
     batch_policy.prepare(dataset)
     router.prepare(len(fleet), dataset)
     # SLO-aware policies estimate batch latencies through the fleet's cost
-    # models; the hook is a no-op for FIFO policies (and absent on plug-in
-    # policies written before it existed).
-    bind_fleet = getattr(batch_policy, "bind_fleet", None)
-    if bind_fleet is not None:
-        bind_fleet(fleet)
+    # models; the hook is a no-op for FIFO policies.
+    batch_policy.bind_fleet(fleet)
     if (
         isinstance(router, LengthShardedRouter)
         and len(fleet) > 1
@@ -145,41 +139,6 @@ def prepare_components(
             stacklevel=3,
         )
     return batch_policy, router
-
-
-class PredictedMissGate:
-    """Arrival-time deadline check: is a request already unsalvageable?
-
-    A request is a *predicted miss* when every device's earliest possible
-    start (its admission clock at ``now``) plus that device's own
-    single-request service estimate overshoots the deadline.  The estimate
-    ignores everything queued ahead of the request, and the admission clocks
-    only move later as batches dispatch, so the bound is optimistic: a shed
-    is always a provable miss, never a guess.
-    """
-
-    def __init__(self, fleet: list[Device]) -> None:
-        self._fleet = [d for d in fleet if hasattr(d, "batch_latency_seconds")]
-        self._estimates: dict[tuple[int, int], float] = {}
-
-    def _single_estimate(self, index: int, length: int) -> float:
-        key = (index, length)
-        cached = self._estimates.get(key)
-        if cached is None:
-            cached = self._fleet[index].batch_latency_seconds([length])
-            self._estimates[key] = cached
-        return cached
-
-    def predicted_miss(self, request: Request, now: float) -> bool:
-        if request.deadline is None or not self._fleet:
-            return False
-        deadline = request.deadline + 1e-9
-        for index, device in enumerate(self._fleet):
-            next_start = getattr(device, "next_start", None)
-            start = next_start(now) if next_start is not None else now
-            if start + self._single_estimate(index, request.length) <= deadline:
-                return False
-        return True
 
 
 @dataclass
@@ -308,7 +267,8 @@ class DispatchCore:
         #: yet; together with the formation queue they are the "waiting"
         #: population the admission-control limit bounds.
         self._pending_starts: list[float] = []
-        self._take_shed = getattr(batch_policy, "take_shed", None)
+        # The gate snapshots the fleet: an autoscaled pool's arrivals are
+        # judged against its initial devices.
         self._miss_gate = PredictedMissGate(fleet) if shed_on_predicted_miss else None
         self._next_batch_id = 0
         #: The run's phase; a two-phase driver replaces it before the first pump.
@@ -401,10 +361,8 @@ class DispatchCore:
             # Only admission control reads the dispatched-not-started count.
             for _ in range(len(batch)):
                 heapq.heappush(self._pending_starts, start)
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
         planned = PlannedBatch(
-            batch_id=batch_id,
+            batch_id=self.take_batch_id(),
             device_index=index,
             requests=batch,
             execution=execution,
@@ -454,25 +412,26 @@ class DispatchCore:
         if planned.crashed:
             self.report.num_crashes += 1
             self.report.devices[planned.device_index].num_crashes += 1
-            note = getattr(self.router, "note_failure", None)
-            if note is not None:
-                note(planned.device_index, planned.crash_time)
+            self.router.note_failure(planned.device_index, planned.crash_time)
         else:
-            note = getattr(self.router, "note_success", None)
-            if note is not None:
-                note(planned.device_index, planned.end_time)
+            self.router.note_success(planned.device_index, planned.end_time)
 
-    def _dispatch_hedged(self, primary: PlannedBatch, now: float) -> PlannedBatch:
-        """Mirror ``primary`` on the best other device; first completion wins.
+    def take_batch_id(self) -> int:
+        """Allocate the next batch id (ids are unique within a run)."""
+        batch_id = self._next_batch_id
+        self._next_batch_id += 1
+        return batch_id
 
-        The loser's device time is released: its booking is truncated at the
-        winner's completion (it was cancelled there).  A crashed copy's
-        booking stands in full, mirroring the live gateway where a crashed
-        worker's reservation is never unwound.  When both copies crash the
-        batch is lost and the caller's replay/retry machinery takes over at
-        the later crash.
+    def plan_mirror(self, primary: PlannedBatch, now: float) -> PlannedBatch | None:
+        """Cost a hedge copy of ``primary`` on the best other device.
+
+        The mirror device is the other device with the earliest start that
+        admits the whole batch (ties break on index); ``None`` when there is
+        none.  The copy shares ``primary``'s batch_id and faults apply as
+        they do to any dispatch.  Nothing is booked and nothing is counted
+        except ``num_hedged``: the simulator and the live gateway book the
+        losing copy differently.
         """
-        primary_device = self.fleet[primary.device_index]
         lengths = [r.length for r in primary.requests]
         mirror_index = None
         mirror_start = None
@@ -485,31 +444,45 @@ class DispatchCore:
             if mirror_start is None or (start, index) < (mirror_start, mirror_index):
                 mirror_index, mirror_start = index, start
         if mirror_index is None:
-            # No other device admits the whole batch: fall back to unhedged.
-            primary_device.dispatch(primary.execution, primary.start_time)
-            self._note_outcome(primary)
-            return primary
-        mirror_device = self.fleet[mirror_index]
-        mirror_execution = mirror_device.execute(lengths)
-        mirror_crash = None
+            return None
+        execution = self.fleet[mirror_index].execute(lengths)
+        crash = None
         if self.fault_injector is not None:
-            mirror_execution, mirror_crash = self._apply_faults(
-                mirror_index, mirror_start, mirror_execution
-            )
+            execution, crash = self._apply_faults(mirror_index, mirror_start, execution)
         mirror = PlannedBatch(
             batch_id=primary.batch_id,
             device_index=mirror_index,
             requests=primary.requests,
-            execution=mirror_execution,
+            execution=execution,
             dispatch_time=now,
             start_time=mirror_start,
         )
-        if mirror_crash is not None:
+        if crash is not None:
             mirror.crashed = True
-            mirror.crash_time, mirror.recover_time = mirror_crash
+            mirror.crash_time, mirror.recover_time = crash
         self.report.num_hedged += 1
         self.report.devices[primary.device_index].num_hedged += 1
         self.report.devices[mirror_index].num_hedged += 1
+        return mirror
+
+    def _dispatch_hedged(self, primary: PlannedBatch, now: float) -> PlannedBatch:
+        """Mirror ``primary`` on the best other device; first completion wins.
+
+        The loser's device time is released: its booking is truncated at the
+        winner's completion (it was cancelled there).  A crashed copy's
+        booking stands in full, mirroring the live gateway where a crashed
+        worker's reservation is never unwound.  When both copies crash the
+        batch is lost and the caller's replay/retry machinery takes over at
+        the later crash.
+        """
+        primary_device = self.fleet[primary.device_index]
+        mirror = self.plan_mirror(primary, now)
+        if mirror is None:
+            # No other device admits the whole batch: fall back to unhedged.
+            primary_device.dispatch(primary.execution, primary.start_time)
+            self._note_outcome(primary)
+            return primary
+        mirror_device = self.fleet[mirror.device_index]
         primary_ok = not primary.crashed
         mirror_ok = not mirror.crashed
         if primary_ok and (not mirror_ok or primary.end_time <= mirror.end_time):
@@ -576,9 +549,7 @@ class DispatchCore:
 
     def collect_policy_shed(self) -> None:
         """Drain the policy's provably-late drops into the report."""
-        if self._take_shed is None:
-            return
-        for request in self._take_shed():
+        for request in self.batch_policy.take_shed():
             # Deadline-aware policies drop requests that are provably late;
             # they count against attainment, not against admission control.
             self.report.num_shed_late += 1
@@ -629,8 +600,6 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
     the shared LRU did.  ``active[i]`` overrides "did device ``i`` do work"
     for engines that run phases outside the batch path (decode steps).
     """
-    probe_total = 0
-    probe_unique: set[str] = set()
     probe_sequence: list[tuple[int, str]] = []
     probes_seen = False
     for index, device in enumerate(fleet):
@@ -640,9 +609,7 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
         probes = device.schedule_cache_probes()
         if probes is not None:
             probes_seen = True
-            probe_total += probes["total"]
-            probe_unique.update(probes["unique"])
-            probe_sequence.extend(probes.get("sequence", []))
+            probe_sequence.extend(probes)
         served_energy = device.served_energy_joules()
         did_work = active[index] if active is not None else summary.num_batches > 0
         if served_energy is not None and did_work:
@@ -651,8 +618,4 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
         # Merging the per-device streams by their process-wide stamp
         # recovers the exact order the shared LRU saw the lookups.
         probe_sequence.sort(key=lambda item: item[0])
-        report.schedule_cache_probes = {
-            "total": probe_total,
-            "unique": sorted(probe_unique),
-            "sequence": [digest for _, digest in probe_sequence],
-        }
+        report.schedule_cache_probes = [digest for _, digest in probe_sequence]

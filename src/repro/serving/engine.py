@@ -191,10 +191,10 @@ class OnlineServingReport:
     devices: list[DeviceSummary] = field(default_factory=list)
     #: Stepwise (time, waiting-requests) samples of the central queue.
     queue_depth_timeline: list[tuple[float, int]] = field(default_factory=list)
-    #: Fleet-merged schedule-cache probe summary (``{"total", "unique",
-    #: "sequence"}``) for deterministic cross-run hit accounting (the
-    #: ordered digest stream enables exact LRU replay); not serialized.
-    schedule_cache_probes: dict | None = None
+    #: Fleet-merged schedule-cache probe stream (key digests in lookup
+    #: order) for deterministic cross-run hit accounting by exact LRU
+    #: replay; not serialized.
+    schedule_cache_probes: list[str] | None = None
     #: Fault schedules injected into the run (``FaultInjector.describe()``
     #: form; None = no fault machinery attached).
     faults: list | None = None
@@ -760,7 +760,7 @@ def _device_summaries(fleet: list[Device]) -> list[DeviceSummary]:
             index=i,
             accelerator=device.name,
             backend=device.backend,
-            price_per_hour_usd=getattr(device, "price_per_hour_usd", None),
+            price_per_hour_usd=device.price_per_hour_usd,
         )
         for i, device in enumerate(fleet)
     ]
@@ -1266,13 +1266,8 @@ def _run_event_loop(
         horizon = max((r.completion_time for r in report.records), default=0.0)
         for index, summary in enumerate(report.devices):
             summary.downtime_s = injector.timeline(index).downtime_before(horizon)
-        blacklisted = getattr(core.router, "blacklisted_seconds", None)
-        if blacklisted is not None:
-            for index, summary in enumerate(report.devices):
-                summary.blacklisted_s = blacklisted(index, horizon)
+            summary.blacklisted_s = core.router.blacklisted_seconds(index, horizon)
     collect_device_stats(report, fleet, active=phase.finish(report))
     report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
-    preemptions = getattr(batch_policy, "num_preemptions", None)
-    if preemptions is not None:
-        report.num_preemptions = preemptions
+    report.num_preemptions = batch_policy.num_preemptions
     collect_class_stats(report)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import config as global_config
+from ..devices import Device
 from ..registry import REGISTRY, register
 from ..transformer.configs import DatasetConfig
 from .request import Request
@@ -51,11 +52,14 @@ class BatchPolicy:
     """Base class for batch-formation policies."""
 
     name: str = "batch-policy"
+    #: Batches deferred for a higher-priority tier (reported when not None;
+    #: only priority-tiered policies preempt).
+    num_preemptions: int | None = None
 
     def prepare(self, dataset: DatasetConfig) -> None:
         """Optional hook: learn dataset statistics before the run starts."""
 
-    def bind_fleet(self, fleet: list) -> None:
+    def bind_fleet(self, fleet: list[Device]) -> None:
         """Optional hook: see the device fleet before the run starts.
 
         SLO-aware policies use this to query the fleet's cost models

@@ -19,15 +19,12 @@ completion time = backlog + the device's own ``batch_latency_seconds`` on
 the batch) lives in :mod:`repro.serving.slo` and registers under the same
 ``router`` kind.
 
-``select`` receives the fleet itself, so routers can inspect per-device
-state (backlog via :meth:`~repro.devices.Device.next_start`, fullness via
-:meth:`~repro.devices.Device.occupancy`, speed via ``describe()``).
-
-.. note:: Since the Device API redesign the engine passes ``Device``
-   instances, not ``free_at`` floats, into ``select``.  Plug-in routers that
-   treated fleet entries as numbers must read backlogs through
-   :meth:`Router.backlog_seconds`, which accepts both Devices and legacy
-   floats (calling ``select`` directly with a float list keeps working).
+``select`` receives the fleet of :class:`~repro.devices.Device` instances,
+so routers can inspect per-device state (backlog via
+:meth:`Router.backlog_seconds`, fullness via
+:meth:`~repro.devices.Device.occupancy`, speed via ``describe()``).  A
+plug-in router subclasses :class:`Router`, whose base class gives every
+hook the dispatch core calls a default.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..devices import Device
 from ..registry import REGISTRY, register
 from ..transformer.configs import DatasetConfig
 from .request import Request
@@ -59,24 +57,16 @@ class Router:
         """Optional hook: learn the fleet size / dataset before the run."""
 
     @staticmethod
-    def backlog_seconds(entry, now: float) -> float:
-        """Seconds until ``entry`` can start a new batch.
+    def backlog_seconds(device: Device, now: float) -> float:
+        """Seconds until ``device`` can start a new batch.
 
-        ``entry`` is a :class:`~repro.devices.Device` (its
-        :meth:`~repro.devices.Device.next_start` is honored, including the
-        continuous-batching admission gate) or a legacy ``free_at`` float.
+        Reads :meth:`~repro.devices.Device.next_start`, so the
+        continuous-batching admission gate is honored.
         """
-        next_start = getattr(entry, "next_start", None)
-        if next_start is not None:
-            return max(next_start(now) - now, 0.0)
-        return max(float(entry) - now, 0.0)
+        return max(device.next_start(now) - now, 0.0)
 
-    def select(self, fleet: list, batch: list[Request], now: float) -> int:
-        """Return the index of the device that receives ``batch``.
-
-        ``fleet`` is the list of devices (or legacy per-device ``free_at``
-        floats) the simulation runs on.
-        """
+    def select(self, fleet: list[Device], batch: list[Request], now: float) -> int:
+        """Return the index of the device in ``fleet`` that receives ``batch``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -96,6 +86,14 @@ class Router:
     def note_success(self, index: int, now: float) -> None:
         """A batch on device ``index`` will complete cleanly at ``now``."""
 
+    def blacklisted_seconds(self, index: int, until: float) -> float:
+        """Seconds device ``index`` was refused traffic, up to ``until``.
+
+        Reported per device as ``blacklisted_s``; routers without a
+        blacklist never refuse a device.
+        """
+        return 0.0
+
 
 @register("router", "round-robin")
 @dataclass
@@ -113,7 +111,7 @@ class RoundRobinRouter(Router):
         # Reset the cursor so a reused router gives identical runs.
         self._next = 0
 
-    def select(self, fleet: list, batch: list[Request], now: float) -> int:
+    def select(self, fleet: list[Device], batch: list[Request], now: float) -> int:
         index = self._next % len(fleet)
         self._next += 1
         return index
@@ -133,8 +131,8 @@ class LeastLoadedRouter(Router):
 
     name: str = "least-loaded"
 
-    def select(self, fleet: list, batch: list[Request], now: float) -> int:
-        backlogs = [self.backlog_seconds(entry, now) for entry in fleet]
+    def select(self, fleet: list[Device], batch: list[Request], now: float) -> int:
+        backlogs = [self.backlog_seconds(device, now) for device in fleet]
         return min(range(len(backlogs)), key=lambda i: (backlogs[i], i))
 
 
@@ -161,7 +159,7 @@ class LengthShardedRouter(Router):
                 for e in np.linspace(dataset.min_length, dataset.max_length, num_devices + 1)[1:-1]
             ]
 
-    def select(self, fleet: list, batch: list[Request], now: float) -> int:
+    def select(self, fleet: list[Device], batch: list[Request], now: float) -> int:
         mean_length = sum(r.length for r in batch) / len(batch)
         return min(bisect_right(self._edges, mean_length), len(fleet) - 1)
 

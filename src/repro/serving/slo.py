@@ -17,7 +17,8 @@ protocol:
   dispatches exactly when waiting any longer would make the tightest
   admissible deadline unattainable, and sheds requests that are provably
   late (no device could finish them in time even if dispatched alone,
-  immediately).
+  immediately: the :class:`PredictedMissGate`, which the dispatch core also
+  runs at arrival under ``shed_on_predicted_miss``).
 * :class:`CostModelRouter` -- scores every candidate device with its actual
   predicted completion time for *this* batch -- current backlog plus the
   device's own ``batch_latency_seconds`` on the batch, split into
@@ -37,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .. import config as global_config
+from ..devices import Device
 from ..registry import register
 from .policies import _TIME_EPS, BatchPolicy
 from .request import Request
@@ -47,6 +49,7 @@ __all__ = [
     "assign_deadlines",
     "DeadlineBatcher",
     "CostModelRouter",
+    "PredictedMissGate",
 ]
 
 
@@ -116,6 +119,44 @@ def assign_deadlines(requests: list[Request], slo: SLOSpec) -> list[Request]:
     ]
 
 
+class PredictedMissGate:
+    """Is a request provably late: could no device meet its deadline?
+
+    A request is a *predicted miss* when every device's earliest possible
+    start (its admission clock at ``now``) plus that device's own
+    single-request service estimate overshoots the deadline.  The estimate
+    ignores everything queued ahead of the request, and the admission clocks
+    only move later as batches dispatch, so the bound is optimistic: a shed
+    is always a provable miss, never a guess.  The dispatch core asks it at
+    arrival (``shed_on_predicted_miss``), :class:`DeadlineBatcher` before
+    every formation round.
+
+    The gate judges against a snapshot of the devices it was built with.
+    """
+
+    def __init__(self, fleet: list[Device]) -> None:
+        self._fleet = list(fleet)
+        self._estimates: dict[tuple[int, int], float] = {}
+
+    def _single_estimate(self, index: int, length: int) -> float:
+        """Memoized single-request service estimate on fleet device ``index``."""
+        key = (index, length)
+        cached = self._estimates.get(key)
+        if cached is None:
+            cached = self._fleet[index].batch_latency_seconds([length])
+            self._estimates[key] = cached
+        return cached
+
+    def predicted_miss(self, request: Request, now: float) -> bool:
+        if request.deadline is None or not self._fleet:
+            return False
+        deadline = request.deadline + _TIME_EPS
+        for index, device in enumerate(self._fleet):
+            if device.next_start(now) + self._single_estimate(index, request.length) <= deadline:
+                return False
+        return True
+
+
 @register("batch-policy", "deadline", aliases=("edf", "slo"))
 @dataclass
 class DeadlineBatcher(BatchPolicy):
@@ -150,6 +191,9 @@ class DeadlineBatcher(BatchPolicy):
     _fleet: list = field(default_factory=list, repr=False)
     _shed: list[Request] = field(default_factory=list, repr=False)
     _estimates: dict = field(default_factory=dict, repr=False)
+    _gate: PredictedMissGate = field(
+        default_factory=lambda: PredictedMissGate([]), repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -159,10 +203,11 @@ class DeadlineBatcher(BatchPolicy):
         if self.margin_s < 0:
             raise ValueError("margin_s must be >= 0")
 
-    def bind_fleet(self, fleet: list) -> None:
-        self._fleet = [d for d in fleet if hasattr(d, "batch_latency_seconds")]
+    def bind_fleet(self, fleet: list[Device]) -> None:
+        self._fleet = list(fleet)
         self._shed = []
         self._estimates = {}
+        self._gate = PredictedMissGate(self._fleet)
 
     # ------------------------------------------------------------------
     # Cost estimates (through the Device protocol)
@@ -176,8 +221,7 @@ class DeadlineBatcher(BatchPolicy):
         recompute, so the local memo keeps EDF formation O(1) per probe.
         """
         sorted_lengths = tuple(sorted(lengths))
-        key = ("batch", sorted_lengths)
-        cached = self._estimates.get(key)
+        cached = self._estimates.get(sorted_lengths)
         if cached is None:
             if not self._fleet:
                 cached = 0.0
@@ -186,36 +230,19 @@ class DeadlineBatcher(BatchPolicy):
                     device.batch_latency_seconds(list(sorted_lengths))
                     for device in self._fleet
                 )
-            self._estimates[key] = cached
+            self._estimates[sorted_lengths] = cached
         return cached
 
-    def _single_estimate(self, index: int, length: int) -> float:
-        """Memoized single-request service estimate on fleet device ``index``."""
-        key = ("single", index, length)
-        cached = self._estimates.get(key)
-        if cached is None:
-            cached = self._fleet[index].batch_latency_seconds([length])
-            self._estimates[key] = cached
-        return cached
-
-    def _provably_late(self, request: Request, now: float) -> bool:
-        """No device could meet the deadline, even dispatched alone right now.
-
-        Provable because a batch dispatched at ``now`` cannot start before
-        the device's admission clock (``next_start(now)``), and that clock
-        only moves *later* as more batches dispatch; so if every device's
-        earliest start plus its own single-request service estimate already
-        overshoots the deadline, the request is unsalvageable.
-        """
-        if request.deadline is None:
-            return False
-        deadline = request.deadline + _TIME_EPS
-        for index, device in enumerate(self._fleet):
-            next_start = getattr(device, "next_start", None)
-            start = next_start(now) if next_start is not None else now
-            if start + self._single_estimate(index, request.length) <= deadline:
-                return False
-        return True
+    def _shed_provably_late(self, queue: list[Request], now: float) -> None:
+        """Move every queued request that no device could finish in time,
+        even dispatched alone right now, from ``queue`` to the shed list."""
+        if not self.shed_late:
+            return
+        late = [r for r in queue if self._gate.predicted_miss(r, now)]
+        if late:
+            dropped = {r.request_id for r in late}
+            queue[:] = [r for r in queue if r.request_id not in dropped]
+            self._shed.extend(late)
 
     @staticmethod
     def _edf_key(request: Request) -> tuple:
@@ -253,12 +280,7 @@ class DeadlineBatcher(BatchPolicy):
     def form_batch(
         self, queue: list[Request], now: float, draining: bool
     ) -> list[Request] | None:
-        if self.shed_late and self._fleet:
-            late = [r for r in queue if self._provably_late(r, now)]
-            if late:
-                dropped = {r.request_id for r in late}
-                queue[:] = [r for r in queue if r.request_id not in dropped]
-                self._shed.extend(late)
+        self._shed_provably_late(queue, now)
         if not queue:
             return None
         ordered = sorted(queue, key=self._edf_key)
@@ -289,8 +311,7 @@ class CostModelRouter(Router):
     from padding-bound devices for free: a padding-bound device quotes a
     long batch at its max-length cost while the length-aware design quotes
     the actual lengths.  Ties break on device index, keeping runs
-    deterministic.  Legacy float fleets (backlog clocks only) fall back to
-    least-loaded scoring.
+    deterministic.
 
     With ``blacklist_s > 0`` the router becomes **failure-aware** (circuit
     breaker): a device whose batch crashes (the dispatch core's
@@ -334,17 +355,13 @@ class CostModelRouter(Router):
         self._accumulated = {}
 
     @staticmethod
-    def _service_seconds(entry, lengths: list[int]) -> float:
-        """Predicted service time of ``lengths`` on ``entry`` (0 for floats)."""
-        estimator = getattr(entry, "batch_latency_seconds", None)
-        if estimator is None:
-            return 0.0
-        prefix = getattr(entry, "admissible_prefix", None)
+    def _service_seconds(device: Device, lengths: list[int]) -> float:
+        """Predicted service time of ``lengths`` on ``device``, in limit-sized chunks."""
         total = 0.0
         remaining = list(lengths)
         while remaining:
-            take = len(remaining) if prefix is None else prefix(remaining)
-            total += estimator(remaining[:take])
+            take = device.admissible_prefix(remaining)
+            total += device.batch_latency_seconds(remaining[:take])
             remaining = remaining[take:]
         return total
 
@@ -356,13 +373,13 @@ class CostModelRouter(Router):
             return False  # breaker open: still blacklisted
         return index not in self._probing  # half-open: one trial at a time
 
-    def select(self, fleet: list, batch: list[Request], now: float) -> int:
+    def select(self, fleet: list[Device], batch: list[Request], now: float) -> int:
         lengths = [r.length for r in batch]
         if self.blacklist_s <= 0:
             # Fault-agnostic fast path: exactly the historical scorer.
             scores = [
-                self.backlog_seconds(entry, now) + self._service_seconds(entry, lengths)
-                for entry in fleet
+                self.backlog_seconds(device, now) + self._service_seconds(device, lengths)
+                for device in fleet
             ]
             return min(range(len(scores)), key=lambda i: (scores[i], i))
         candidates = [i for i in range(len(fleet)) if self._routable(i, now)]

@@ -189,8 +189,8 @@ class TestCacheMechanics:
         assert description["schedule_cache"]["hits"] == 1
         assert description["schedule_cache"]["shared"]["entries"] == 1
         probes = device.schedule_cache_probes()
-        assert probes["total"] == 2
-        assert len(probes["unique"]) == 1
+        assert len(probes) == 2
+        assert len({digest for _, digest in probes}) == 1
 
     def test_reset_clears_run_counters_not_shared_entries(self, accelerator):
         cache = ScheduleCache()
@@ -222,10 +222,10 @@ class TestEvictionAccounting:
         device.execute([40, 80])
         device.execute([32])
         probes = device.schedule_cache_probes()
-        assert len(probes["sequence"]) == probes["total"] == 3
-        stamps = [stamp for stamp, _ in probes["sequence"]]
+        assert len(probes) == 3
+        stamps = [stamp for stamp, _ in probes]
         assert stamps == sorted(stamps)
-        digests = [digest for _, digest in probes["sequence"]]
+        digests = [digest for _, digest in probes]
         assert digests[0] == digests[1] != digests[2]  # permutation shares a key
 
     def test_replay_is_exact_past_capacity(self):
@@ -236,11 +236,7 @@ class TestEvictionAccounting:
 
         # Stream A B C A against a 2-entry LRU: storing C evicts A, so the
         # second A probe is a miss again (4 misses, 2 evictions, 0 hits).
-        probes = {
-            "total": 4,
-            "unique": ["A", "B", "C"],
-            "sequence": ["A", "B", "C", "A"],
-        }
+        probes = ["A", "B", "C", "A"]
         point = SimpleNamespace(
             report=SimpleNamespace(schedule_cache_probes=probes), cache_stats=None
         )
@@ -269,7 +265,7 @@ class TestEvictionAccounting:
         device = _device(accelerator, schedule_cache=cache)
         for batch in ([10], [20], [30], [10], [30], [20]):
             device.execute(batch)
-        probes = device.schedule_cache_probes()
+        probes = [digest for _, digest in device.schedule_cache_probes()]
         point = SimpleNamespace(
             report=SimpleNamespace(schedule_cache_probes=probes), cache_stats=None
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 from repro.devices import BatchExecution, Device
 from repro.live import LiveGateway, LiveServer, http_json, stream_trace
@@ -25,6 +26,20 @@ class FakeDevice(Device):
             completion_offsets=[self.latency] * len(lengths),
             admit_seconds=self.latency,
         )
+
+
+async def _raw_post(host, port, path, content_length, body) -> tuple[int, dict]:
+    """POST ``body`` with a verbatim Content-Length header (which may be bad)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    head = f"POST {path} HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n"
+    writer.write(head.encode("latin-1") + body)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    status_line, _, rest = raw.partition(b"\r\n")
+    _, _, response_body = rest.partition(b"\r\n\r\n")
+    return int(status_line.split(b" ", 2)[1]), json.loads(response_body)
 
 
 async def _server(**gateway_kwargs) -> LiveServer:
@@ -112,10 +127,22 @@ class TestEndpoints:
             assert status == 405
             status, payload = await http_json(host, port, "POST", "/v1/requests", {})
             assert status == 400 and "length" in payload["error"]
-            status, _ = await http_json(
-                host, port, "POST", "/v1/requests", {"length": "not-a-number"}
-            )
-            assert status == 400
+            for body in (
+                {"length": "not-a-number"},
+                {"length": 8, "output_len": "x"},
+                {"length": 8, "output_len": None},
+                {"length": 8, "output_len": 0},
+                {"length": 8, "slo_ms": "fast"},
+            ):
+                status, payload = await http_json(host, port, "POST", "/v1/requests", body)
+                assert status == 400 and "error" in payload, body
+            summary = await stream_trace(host, port, [{"length": 8, "output_len": "x"}])
+            assert "output_len" in summary["error"]
+            for content_length in ("abc", "-5"):
+                status, payload = await _raw_post(
+                    host, port, "/v1/requests", content_length, b'{"length": 8}'
+                )
+                assert status == 400 and "Content-Length" in payload["error"]
 
             shutdown = asyncio.create_task(http_json(host, port, "POST", "/shutdown"))
             await asyncio.sleep(0.01)

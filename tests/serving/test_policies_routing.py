@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.devices import Device
 from repro.serving.policies import (
     FixedSizeBatcher,
     LengthBucketedBatcher,
@@ -15,9 +16,28 @@ from repro.serving.routing import (
     LeastLoadedRouter,
     LengthShardedRouter,
     RoundRobinRouter,
+    Router,
     get_router,
 )
 from repro.transformer.configs import MRPC
+
+
+class _BacklogDevice(Device):
+    """A device that can admit its next batch at ``free_at`` at the earliest."""
+
+    name = "backlog-stub"
+    backend = "stub"
+
+    def __init__(self, free_at: float = 0.0):
+        self.free_at = free_at
+        super().__init__()
+
+    def next_start(self, now: float) -> float:
+        return max(now, self.free_at)
+
+
+def _fleet(*free_at: float) -> list[Device]:
+    return [_BacklogDevice(t) for t in free_at]
 
 
 def _queue(*specs: tuple[int, float]) -> list[Request]:
@@ -113,47 +133,36 @@ class TestRouters:
     def test_round_robin_cycles(self):
         router = RoundRobinRouter()
         batch = _queue((30, 0.0))
-        picks = [router.select([0.0, 0.0, 0.0], batch, now=0.0) for _ in range(5)]
+        picks = [router.select(_fleet(0.0, 0.0, 0.0), batch, now=0.0) for _ in range(5)]
         assert picks == [0, 1, 2, 0, 1]
 
     def test_least_loaded_picks_smallest_backlog(self):
         router = LeastLoadedRouter()
         batch = _queue((30, 0.0))
-        assert router.select([5.0, 1.5, 3.0], batch, now=1.0) == 1
+        assert router.select(_fleet(5.0, 1.5, 3.0), batch, now=1.0) == 1
         # Ties break on index for determinism.
-        assert router.select([0.5, 0.5], batch, now=1.0) == 0
+        assert router.select(_fleet(0.5, 0.5), batch, now=1.0) == 0
 
     def test_length_sharded_routes_by_band(self):
         router = LengthShardedRouter()
         router.prepare(2, MRPC)  # bands split at the MRPC length midpoint
         short = _queue((MRPC.min_length, 0.0))
         long = _queue((MRPC.max_length, 0.0))
-        assert router.select([0.0, 0.0], short, now=0.0) == 0
-        assert router.select([0.0, 0.0], long, now=0.0) == 1
+        assert router.select(_fleet(0.0, 0.0), short, now=0.0) == 0
+        assert router.select(_fleet(0.0, 0.0), long, now=0.0) == 1
 
 
 class TestRoutersOverDevices:
     """Routers read per-device state through the unified Device protocol."""
 
-    class _StubDevice:
-        def __init__(self, free_at: float):
-            self._free_at = free_at
-
-        def next_start(self, now: float) -> float:
-            return max(now, self._free_at)
-
-    def test_backlog_seconds_handles_devices_and_floats(self):
-        from repro.serving.routing import Router
-
-        assert Router.backlog_seconds(5.0, now=1.0) == pytest.approx(4.0)
-        assert Router.backlog_seconds(0.5, now=1.0) == 0.0
-        device = self._StubDevice(free_at=3.0)
+    def test_backlog_seconds_reads_next_start(self):
+        device = _BacklogDevice(free_at=3.0)
         assert Router.backlog_seconds(device, now=1.0) == pytest.approx(2.0)
         assert Router.backlog_seconds(device, now=4.0) == 0.0
 
     def test_least_loaded_picks_earliest_admitting_device(self):
         router = LeastLoadedRouter()
-        fleet = [self._StubDevice(5.0), self._StubDevice(1.5), self._StubDevice(3.0)]
+        fleet = _fleet(5.0, 1.5, 3.0)
         assert router.select(fleet, _queue((30, 0.0)), now=1.0) == 1
 
 

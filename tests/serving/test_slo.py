@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.devices import AnalyticalDevice, build_fleet
+from repro.devices import AnalyticalDevice, Device, build_fleet
 from repro.hardware.accelerator import build_sparse_accelerator
 from repro.platforms.devices import RTX_6000
 from repro.serving import (
@@ -12,7 +12,6 @@ from repro.serving import (
     CostModelRouter,
     DeadlineBatcher,
     FixedSizeBatcher,
-    LeastLoadedRouter,
     PoissonArrivals,
     Request,
     SLOSpec,
@@ -29,6 +28,24 @@ def _build(dataset=MRPC):
     return build_sparse_accelerator(
         _SMALL_MODEL, top_k=30, avg_seq=dataset.avg_length, max_seq=dataset.max_length
     )
+
+
+class _StubDevice(Device):
+    """A device quoting ``latency(lengths)`` per batch after a fixed backlog."""
+
+    name = "stub"
+    backend = "stub"
+
+    def __init__(self, latency, backlog=0.0, **limits):
+        self.latency = latency
+        self.backlog = backlog
+        super().__init__(**limits)
+
+    def next_start(self, now):
+        return now + self.backlog
+
+    def batch_latency_seconds(self, lengths):
+        return self.latency(list(lengths))
 
 
 @pytest.fixture(scope="module")
@@ -226,39 +243,26 @@ class TestDeadlineBatcher:
         """Regression: a batch with sorted lengths (1, 40) must not share a
         memo entry with the single-request estimate (device 1, length 40)."""
 
-        class _Stub:
-            def __init__(self, per_token):
-                self._per_token = per_token
-
-            def next_start(self, now):
-                return now
-
-            def batch_latency_seconds(self, lengths):
-                return self._per_token * sum(lengths)
-
         policy = DeadlineBatcher(batch_size=16)
-        policy.bind_fleet([_Stub(per_token=1.0), _Stub(per_token=10.0)])
+        policy.bind_fleet(
+            [
+                _StubDevice(lambda lengths: 1.0 * sum(lengths)),
+                _StubDevice(lambda lengths: 10.0 * sum(lengths)),
+            ]
+        )
         batch_estimate = policy._estimate((1, 40))  # fleet min: 41.0
-        single_on_slow = policy._single_estimate(1, 40)  # device 1: 400.0
+        single_on_slow = policy._gate._single_estimate(1, 40)  # device 1: 400.0
         assert batch_estimate == pytest.approx(41.0)
         assert single_on_slow == pytest.approx(400.0)
 
 
 class TestCostModelRouter:
     def test_prefers_earliest_predicted_completion(self):
-        class _Stub:
-            def __init__(self, backlog, per_req):
-                self._backlog = backlog
-                self._per_req = per_req
+        def _stub(backlog, per_req):
+            return _StubDevice(lambda lengths: per_req * len(lengths), backlog=backlog)
 
-            def next_start(self, now):
-                return now + self._backlog
-
-            def batch_latency_seconds(self, lengths):
-                return self._per_req * len(lengths)
-
-        fast_but_busy = _Stub(backlog=1.0, per_req=0.01)
-        slow_but_idle = _Stub(backlog=0.0, per_req=0.05)
+        fast_but_busy = _stub(backlog=1.0, per_req=0.01)
+        slow_but_idle = _stub(backlog=0.0, per_req=0.05)
         batch = [Request(request_id=i, length=30, arrival_time=0.0) for i in range(4)]
         router = CostModelRouter()
         # 4 requests: 1.0 + 0.04 on device 0 vs 0.0 + 0.2 on device 1.
@@ -266,31 +270,14 @@ class TestCostModelRouter:
         # 1 request at a longer backlog gap: still the idle device.
         assert router.select([fast_but_busy, slow_but_idle], batch[:1], now=0.0) == 1
         # Once the busy device drains, its speed wins.
-        assert router.select([_Stub(0.0, 0.01), slow_but_idle], batch, now=0.0) == 0
+        assert router.select([_stub(0.0, 0.01), slow_but_idle], batch, now=0.0) == 0
 
     def test_accounts_for_device_batch_limits(self):
-        class _Capped:
-            max_batch_size = 1
-
-            def next_start(self, now):
-                return now
-
-            def admissible_prefix(self, lengths):
-                return 1
-
-            def batch_latency_seconds(self, lengths):
-                return 0.03 * len(lengths)
-
-        class _Uncapped:
-            def next_start(self, now):
-                return now
-
-            def batch_latency_seconds(self, lengths):
-                return 0.05  # flat per batch, slower per request
-
+        capped = _StubDevice(lambda lengths: 0.03 * len(lengths), max_batch_size=1)
+        uncapped = _StubDevice(lambda lengths: 0.05)  # flat per batch, slower per request
         batch = [Request(request_id=i, length=30, arrival_time=0.0) for i in range(4)]
         # Capped device serializes 4 single-request batches: 0.12 > 0.05.
-        assert CostModelRouter().select([_Capped(), _Uncapped()], batch, now=0.0) == 1
+        assert CostModelRouter().select([capped, uncapped], batch, now=0.0) == 1
 
     def test_routes_long_sequences_off_padding_bound_device(self):
         """Heterogeneous fleet: the padded analytical device quotes long
@@ -308,11 +295,6 @@ class TestCostModelRouter:
             for device in fleet
         ]
         assert choice == min(range(len(costs)), key=lambda i: (costs[i], i))
-
-    def test_falls_back_to_backlog_for_float_fleets(self):
-        router = CostModelRouter()
-        batch = [Request(request_id=0, length=30, arrival_time=0.0)]
-        assert router.select([5.0, 1.5, 3.0], batch, now=1.0) == 1
 
 
 class TestPerDeviceLimits:
