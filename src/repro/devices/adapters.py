@@ -26,7 +26,7 @@ from ..hardware.hbm import HbmModel
 from ..platforms.base import AnalyticalPlatform, PlatformResult
 from ..scheduling.length_aware import LengthAwareScheduler, sort_batch_by_length
 from ..scheduling.pipeline import ScheduleResult
-from .protocol import BatchExecution, Device
+from .protocol import _EPS, BatchExecution, Device
 from .schedule_cache import (
     GLOBAL_SCHEDULE_CACHE,
     ScheduleCache,
@@ -47,6 +47,10 @@ class _CanonicalSchedule:
     request order through the scheduler's issue permutation.
     ``key_digest`` is a process-independent fingerprint of the cache key, used
     by the sweep harness to replay hit accounting deterministically.
+
+    An entry checks the latency invariants of :class:`BatchExecution` when it
+    is created, so a latency probe that never builds one still rejects an
+    impossible schedule.
     """
 
     result: ScheduleResult
@@ -55,6 +59,12 @@ class _CanonicalSchedule:
     admit_seconds: float
     utilization: float
     key_digest: str = ""
+
+    def __post_init__(self) -> None:
+        if self.latency_seconds <= 0:
+            raise ValueError("latency_seconds must be > 0")
+        if not 0 < self.admit_seconds <= self.latency_seconds + _EPS:
+            raise ValueError("admit_seconds must be in (0, latency_seconds]")
 
     def __getstate__(self) -> dict:
         # ScheduleResult carries lazily-materialized timeline closures that
@@ -86,6 +96,21 @@ _SCHEDULER_SERIAL = itertools.count()
 #: stamp recovers the exact order in which the shared LRU saw the lookups
 #: (devices within a run execute in one process, so stamps are comparable).
 _PROBE_SERIAL = itertools.count()
+
+
+def _design_token(accelerator: Accelerator) -> object:
+    """Identity of one accelerator in the schedule cache's key memo.
+
+    An opaque object kept on the instance (the accelerator is immutable once
+    its factory returns, the invariant its own latency memo relies on).  The
+    memo holds the token, never the accelerator, and a token the memo still
+    holds cannot be recycled for another design the way an ``id()`` can.
+    """
+    token = accelerator.__dict__.get("_schedule_key_token")
+    if token is None:
+        token = object()
+        accelerator.__dict__["_schedule_key_token"] = token
+    return token
 
 
 def _scheduler_cache_key(scheduler) -> str:
@@ -164,6 +189,15 @@ class CycleAccurateDevice(Device):
             float(accelerator.clock_hz),
         )
         self._scheduler_key = _scheduler_cache_key(self.scheduler)
+        #: How the scheduler canonicalizes a batch: built-in schedulers
+        #: advertise ``cache_canonicalization``; unknown ones fall back to
+        #: ``"exact"`` (order-sensitive keys, no cross-permutation sharing).
+        self._canonical_mode = getattr(self.scheduler, "cache_canonicalization", "exact")
+        pad_to = getattr(self.scheduler, "pad_to", None)
+        self._pad_to = None if pad_to is None else int(pad_to)
+        #: Everything besides the canonical tuple that a cache key reads:
+        #: replicas sharing one accelerator share one key memo.
+        self._design = (_design_token(accelerator), self._scheduler_key)
         super().__init__(
             max_batch_size=max_batch_size,
             max_batch_tokens=max_batch_tokens,
@@ -249,24 +283,13 @@ class CycleAccurateDevice(Device):
     # Cache plumbing
     # ------------------------------------------------------------------
 
-    def _canonical_order(self) -> str:
-        """How this device's scheduler canonicalizes a batch.
-
-        Built-in schedulers advertise ``cache_canonicalization``; unknown
-        schedulers fall back to ``"exact"`` (order-sensitive keys, no
-        cross-permutation sharing, always correct).
-        """
-        return getattr(self.scheduler, "cache_canonicalization", "exact")
-
     def _cache_key(self, canonical: tuple[int, ...]) -> tuple:
         rows = tuple(
             (length, self.accelerator.stage_latency_row(length))
             for length in sorted(set(canonical))
         )
-        pad_to = getattr(self.scheduler, "pad_to", None)
-        if pad_to is not None:
-            pad_to = int(pad_to)
-            rows += ((pad_to, self.accelerator.stage_latency_row(pad_to)),)
+        if self._pad_to is not None:
+            rows += ((self._pad_to, self.accelerator.stage_latency_row(self._pad_to)),)
         return (canonical, rows, self._structure_key, self._scheduler_key)
 
     def _simulate_canonical(self, canonical: tuple[int, ...]) -> _CanonicalSchedule:
@@ -284,65 +307,78 @@ class CycleAccurateDevice(Device):
             utilization=result.average_utilization,
         )
 
-    @staticmethod
-    def _issue_order(billed: tuple[int, ...], mode: str) -> list[int] | None:
-        """The scheduler's issue permutation for this batch (None = identity).
-
-        Delegates to the schedulers' own :func:`sort_batch_by_length` so the
-        offset remapping can never drift from the order the cached canonical
-        simulation actually used (tie-breaks included).
-        """
-        if mode == "sort-desc":
-            return sort_batch_by_length(list(billed), descending=True)
-        if mode == "sort-asc":
-            return sort_batch_by_length(list(billed), descending=False)
-        return None
-
-    def execute(self, lengths: Sequence[int]) -> BatchExecution:
-        call = tuple(int(x) for x in lengths)
+    def _billed(self, call: tuple[int, ...]) -> tuple[int, ...]:
+        """The lengths the schedule bills (``cache_length_bucket`` applied)."""
         if self.cache_length_bucket is None:
-            billed = call
-        else:
-            billed = quantize_lengths(call, self.cache_length_bucket)
-            pad_to = getattr(self.scheduler, "pad_to", None)
-            if pad_to is not None:
-                # Never quantize a valid length past a fixed padding target:
-                # the scheduler bills such sequences at pad_to anyway, and
-                # rounding beyond it would reject a batch that is fine
-                # unquantized.  Lengths already above pad_to stay as they
-                # are (and fail exactly like the unquantized call would).
-                pad_to = int(pad_to)
-                billed = tuple(
-                    min(quantized, pad_to) if original <= pad_to else quantized
-                    for quantized, original in zip(billed, call)
-                )
-        mode = self._canonical_order()
+            return call
+        billed = quantize_lengths(call, self.cache_length_bucket)
+        pad_to = self._pad_to
+        if pad_to is None:
+            return billed
+        # Never quantize a valid length past a fixed padding target: the
+        # scheduler bills such sequences at pad_to anyway, and rounding beyond
+        # it would reject a batch that is fine unquantized.  Lengths already
+        # above pad_to stay as they are (and fail exactly like the
+        # unquantized call would).
+        return tuple(
+            min(quantized, pad_to) if original <= pad_to else quantized
+            for quantized, original in zip(billed, call)
+        )
+
+    def _lookup(self, billed: tuple[int, ...]) -> _CanonicalSchedule:
+        """The canonical schedule of a billed batch: the one cache probe.
+
+        Both :meth:`execute` and the latency probe come through here, so each
+        call counts its hit or miss, refreshes the shared LRU's recency and
+        appends its stamped digest exactly once, whichever lane asked.
+        """
+        mode = self._canonical_mode
         if mode in ("sort-desc", "uniform"):
             canonical = tuple(sorted(billed, reverse=True))
         elif mode == "sort-asc":
             canonical = tuple(sorted(billed))
         else:
             canonical = billed
-        entry = None
         # One source of truth per run: the reset()-time snapshot (the engine
         # resets every device at simulation start), so counters and reported
         # stats can never disagree about whether the cache was active.
-        use_cache = self._cache_active
-        if use_cache:
-            key = self._cache_key(canonical)
-            entry = self._schedule_cache.lookup(key)
-            if entry is None:
-                self.cache_misses += 1
-            else:
-                self.cache_hits += 1
+        if not self._cache_active:
+            return self._simulate_canonical(canonical)
+        cache = self._schedule_cache
+        key = cache.key_for(self._design, canonical, self._cache_key)
+        entry = cache.lookup(key)
         if entry is None:
+            self.cache_misses += 1
             entry = self._simulate_canonical(canonical)
-            if use_cache:
-                entry.key_digest = _key_digest(key)
-                self._schedule_cache.store(key, entry)
-        if use_cache:
-            self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
-        order = self._issue_order(billed, mode)
+            entry.key_digest = _key_digest(key)
+            cache.store(key, entry)
+        else:
+            self.cache_hits += 1
+        self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
+        return entry
+
+    def batch_latency_seconds(self, lengths: Sequence[int]) -> float:
+        """The probe lane: one cache lookup, no issue order, no offsets."""
+        return self._lookup(self._billed(tuple(map(int, lengths)))).latency_seconds
+
+    def _issue_order(self, billed: tuple[int, ...]) -> list[int] | None:
+        """The scheduler's issue permutation for this batch (None = identity).
+
+        Delegates to the schedulers' own :func:`sort_batch_by_length` so the
+        offset remapping can never drift from the order the cached canonical
+        simulation actually used (tie-breaks included).
+        """
+        if self._canonical_mode == "sort-desc":
+            return sort_batch_by_length(list(billed), descending=True)
+        if self._canonical_mode == "sort-asc":
+            return sort_batch_by_length(list(billed), descending=False)
+        return None
+
+    def execute(self, lengths: Sequence[int]) -> BatchExecution:
+        call = tuple(map(int, lengths))
+        billed = self._billed(call)
+        entry = self._lookup(billed)
+        order = self._issue_order(billed)
         if order is None:
             offsets = list(entry.slot_completion_seconds)
         else:

@@ -20,10 +20,15 @@ become reachable from the CLI (``--devices my-device``) with no core edits.
 from __future__ import annotations
 
 import inspect
+from contextvars import ContextVar
 from typing import Iterable
 
 from .. import config as global_config
-from ..hardware.accelerator import build_baseline_accelerator, build_sparse_accelerator
+from ..hardware.accelerator import (
+    Accelerator,
+    build_baseline_accelerator,
+    build_sparse_accelerator,
+)
 from ..platforms.devices import JETSON_TX2, RTX_6000, V100_ET, XEON_5218
 from ..registry import REGISTRY, register
 from ..scheduling.baselines import PaddedScheduler
@@ -69,6 +74,25 @@ def split_fleet_spec(specs: str | Iterable[str]) -> list[str]:
     return [part.strip() for spec in specs for part in str(spec).split(",") if part.strip()]
 
 
+#: Accelerators built so far in the current :func:`build_fleet` call, by
+#: builder arguments (``None`` outside one).  An accelerator is immutable once
+#: its factory returns, so the replicas of one fleet share a single instance
+#: (and with it the schedule cache's key memo); nothing outlives the call.
+_FLEET_ACCELERATORS: ContextVar[dict | None] = ContextVar("_FLEET_ACCELERATORS", default=None)
+
+
+def _accelerator(builder, model_config: ModelConfig, **knobs) -> Accelerator:
+    """``builder(model_config, **knobs)``, shared within one fleet build."""
+    shared = _FLEET_ACCELERATORS.get()
+    if shared is None:
+        return builder(model_config, **knobs)
+    key = (builder, model_config, tuple(sorted(knobs.items())))
+    accelerator = shared.get(key)
+    if accelerator is None:
+        accelerator = shared[key] = builder(model_config, **knobs)
+    return accelerator
+
+
 def _model(model: ModelConfig | str) -> ModelConfig:
     return get_model_config(model) if isinstance(model, str) else model
 
@@ -103,7 +127,8 @@ def sparse_fpga_device(
     The design is balanced for the dataset's average/max length.
     """
     model_config, dataset_config = _model(model), _dataset(dataset)
-    accelerator = build_sparse_accelerator(
+    accelerator = _accelerator(
+        build_sparse_accelerator,
         model_config,
         top_k=top_k,
         avg_seq=dataset_config.avg_length,
@@ -145,7 +170,8 @@ def baseline_fpga_device(
     dataset's max length, which is what makes this device padding-bound.
     """
     model_config, dataset_config = _model(model), _dataset(dataset)
-    accelerator = build_baseline_accelerator(
+    accelerator = _accelerator(
+        build_baseline_accelerator,
         model_config,
         avg_seq=dataset_config.avg_length,
         max_seq=dataset_config.max_length,
@@ -274,15 +300,21 @@ def build_fleet(
     Each spec may itself be comma-separated (the CLI's
     ``--devices sparse-fpga,gpu-rtx6000`` form); ``replicas`` instantiates
     the whole list that many times, and ``overrides`` are forwarded to every
-    factory (so they must be accepted by all devices in the fleet).
+    factory (so they must be accepted by all devices in the fleet).  Devices
+    built from the same FPGA design share one immutable accelerator; each
+    still has its own scheduler and serving state.
     """
     names = split_fleet_spec(specs)
     if not names:
         raise ValueError("the device fleet spec is empty")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    return [
-        build_device(name, model=model, dataset=dataset, **overrides)
-        for _ in range(replicas)
-        for name in names
-    ]
+    scope = _FLEET_ACCELERATORS.set({})
+    try:
+        return [
+            build_device(name, model=model, dataset=dataset, **overrides)
+            for _ in range(replicas)
+            for name in names
+        ]
+    finally:
+        _FLEET_ACCELERATORS.reset(scope)

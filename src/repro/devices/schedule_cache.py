@@ -21,6 +21,21 @@ module replaces that with one process-wide LRU shared by all devices:
   length up to the next multiple of ``Q`` before scheduling, trading a
   slightly conservative (never optimistic) latency for a much smaller key
   space and hit rates above 90% on Poisson traffic.  Default off (exact).
+* **A probe lane** -- serving layers ask ``batch_latency_seconds`` about
+  every candidate batch, and almost every such probe hits.  A probe runs
+  the same single lookup as ``execute`` (the per-device hit or miss, the
+  LRU recency refresh and the stamped key digest are identical), then
+  stops at the entry's latency: no issue order, no offset remap, no
+  ``BatchExecution``.
+* **A key memo** -- a key spells out a stage-latency row per unique length,
+  so building and hashing it cost more than the lookup.
+  :meth:`ScheduleCache.key_for` memoizes keys per (design, canonical
+  batch), where the design is the accelerator's identity token and the
+  scheduler's key.  The memo holds at most ``max_entries`` keys (first in,
+  first out) and is cleared with the entries.  The replicas of one
+  ``build_fleet`` call share one ``Accelerator``, immutable once its
+  factory returns, so one memoized key serves a probe fanned out over
+  every replica.
 
 ``REPRO_SCHEDULE_CACHE=off`` disables lookups entirely (every batch is
 re-simulated), which is the knob the cache-correctness tests and debugging
@@ -46,7 +61,7 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 __all__ = [
     "GLOBAL_SCHEDULE_CACHE",
@@ -113,12 +128,39 @@ class ScheduleCache:
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        #: ``(design, canonical) -> key`` memo, first-in-first-out past
+        #: ``max_entries`` and cleared with the entries.
+        self._keys: dict[tuple[Hashable, tuple], Hashable] = {}
         self.hits = 0
         self.misses = 0
         self.num_evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def key_for(
+        self,
+        design: Hashable,
+        canonical: tuple,
+        build: Callable[[tuple], Hashable],
+    ) -> Hashable:
+        """The cache key of ``canonical`` on ``design``, built once and memoized.
+
+        ``design`` must identify everything besides ``canonical`` that
+        ``build`` reads (devices pass their accelerator's identity token and
+        their scheduler's cache key), so a memoized key always equals a
+        freshly built one.  Memo hits and misses are not counted: the key is
+        the same either way, and only :meth:`lookup` probes the entries.
+        """
+        memo_key = (design, canonical)
+        key = self._keys.get(memo_key)
+        if key is None:
+            key = build(canonical)
+            with self._lock:
+                self._keys[memo_key] = key
+                if len(self._keys) > self.max_entries:
+                    del self._keys[next(iter(self._keys))]
+        return key
 
     def lookup(self, key: Hashable) -> Any | None:
         """Return the cached entry (and count a hit) or ``None`` (a miss)."""
@@ -141,9 +183,10 @@ class ScheduleCache:
                 self.num_evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
+        """Drop every entry and memoized key, and reset the hit/miss counters."""
         with self._lock:
             self._entries.clear()
+            self._keys.clear()
             self.hits = 0
             self.misses = 0
             self.num_evictions = 0

@@ -494,7 +494,9 @@ def _render(result: ServeResult) -> str:
             )
     if report.cost_usd is not None:
         footer["fleet cost (USD)"] = round(report.cost_usd, 6)
-        footer["avg fleet price (USD/hr)"] = round(report.average_price_per_hour_usd, 4)
+        price = report.average_price_per_hour_usd
+        # No makespan (nothing completed) leaves the average price undefined.
+        footer["avg fleet price (USD/hr)"] = "n/a" if price is None else round(price, 4)
         if report.attainment_per_dollar_hour is not None:
             footer["attainment per $/hr"] = round(report.attainment_per_dollar_hour, 4)
     if report.autoscaler is not None:

@@ -75,6 +75,9 @@ class DeviceFaultTimeline:
         #: Offline windows generated so far, in start order.
         self._windows: list[tuple[float, float]] = []
         self._horizon = 0.0
+        #: The online gap ``[start, end)`` around :meth:`next_online`'s last
+        #: answer; ``end`` never lies beyond what was generated by then.
+        self._gap = (0.0, 0.0)
 
     # -- generation ----------------------------------------------------
 
@@ -93,15 +96,30 @@ class DeviceFaultTimeline:
         return 1.0
 
     def next_online(self, t: float) -> float:
-        """Earliest instant >= ``t`` at which the device is online."""
+        """Earliest instant >= ``t`` at which the device is online.
+
+        The answer's online gap is remembered: a later query inside it is
+        online at once, with no scan.  The gap ends at the next generated
+        crash, or at the generated horizon when none is generated yet:
+        windows are only ever appended after it, so the answer stays exact
+        (and the fault history does not depend on how far it is generated).
+        """
+        start, end = self._gap
+        if start <= t < end:
+            return t
         self._ensure(t)
         online = t
+        start = float("-inf")
+        end = None
         for crash, recover in self._windows:
             if crash > online:
+                end = crash
                 break
-            if crash <= online < recover:
+            if online < recover:
                 online = recover
                 self._ensure(online)
+            start = recover
+        self._gap = (start, self._horizon if end is None else end)
         return online
 
     def first_crash_in(self, start: float, end: float) -> tuple[float, float] | None:

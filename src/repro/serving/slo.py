@@ -147,14 +147,34 @@ class PredictedMissGate:
             self._estimates[key] = cached
         return cached
 
+    def late_requests(self, requests: list[Request], now: float) -> list[Request]:
+        """The predicted misses among ``requests`` at ``now``, in order.
+
+        One pass: each device's earliest start is read at most once (no
+        clock moves during the pass), while each request still stops at the
+        first device that could meet it, so the single-request estimates
+        probed are exactly those of asking about the requests one by one.
+        """
+        if not self._fleet:
+            return []
+        starts: list[float | None] = [None] * len(self._fleet)
+        late = []
+        for request in requests:
+            if request.deadline is None:
+                continue
+            deadline = request.deadline + _TIME_EPS
+            for index, device in enumerate(self._fleet):
+                start = starts[index]
+                if start is None:
+                    start = starts[index] = device.next_start(now)
+                if start + self._single_estimate(index, request.length) <= deadline:
+                    break
+            else:
+                late.append(request)
+        return late
+
     def predicted_miss(self, request: Request, now: float) -> bool:
-        if request.deadline is None or not self._fleet:
-            return False
-        deadline = request.deadline + _TIME_EPS
-        for index, device in enumerate(self._fleet):
-            if device.next_start(now) + self._single_estimate(index, request.length) <= deadline:
-                return False
-        return True
+        return bool(self.late_requests([request], now))
 
 
 @register("batch-policy", "deadline", aliases=("edf", "slo"))
@@ -238,7 +258,7 @@ class DeadlineBatcher(BatchPolicy):
         even dispatched alone right now, from ``queue`` to the shed list."""
         if not self.shed_late:
             return
-        late = [r for r in queue if self._gate.predicted_miss(r, now)]
+        late = self._gate.late_requests(queue, now)
         if late:
             dropped = {r.request_id for r in late}
             queue[:] = [r for r in queue if r.request_id not in dropped]

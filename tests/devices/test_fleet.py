@@ -94,6 +94,27 @@ class TestFleetConstruction:
         fleet = build_fleet(("sparse-fpga",), model=_SMALL_MODEL, dataset="mrpc", replicas=2)
         assert fleet[0] is not fleet[1]
 
+    def test_replicas_of_one_build_share_only_the_accelerator(self):
+        fleet = build_fleet(
+            ("sparse-fpga", "baseline-fpga"), model=_SMALL_MODEL, dataset="mrpc", replicas=2
+        )
+        sparse, baseline, sparse_twin, baseline_twin = fleet
+        assert sparse.accelerator is sparse_twin.accelerator
+        assert baseline.accelerator is baseline_twin.accelerator
+        assert sparse.accelerator is not baseline.accelerator
+        assert sparse.scheduler is not sparse_twin.scheduler
+        # Nothing is shared across calls, nor with a device built alone.
+        again = build_fleet(("sparse-fpga",), model=_SMALL_MODEL, dataset="mrpc")
+        alone = build_device("sparse-fpga", model=_SMALL_MODEL, dataset="mrpc")
+        assert again[0].accelerator is not sparse.accelerator
+        assert alone.accelerator is not again[0].accelerator
+        # Different knobs mean different designs, even within one call.
+        varied = build_fleet(
+            ("sparse-fpga", "fpga"), model=_SMALL_MODEL, dataset="mrpc", top_k=4
+        ) + build_fleet(("sparse-fpga",), model=_SMALL_MODEL, dataset="mrpc")
+        assert varied[0].accelerator is varied[1].accelerator
+        assert varied[0].accelerator.top_k != varied[2].accelerator.top_k
+
     def test_optional_knobs_reach_only_declaring_factories(self):
         """top_k lands on FPGA builds (aliases included) and is dropped by
         analytical devices; unknown keywords still raise."""

@@ -274,3 +274,131 @@ class TestEvictionAccounting:
         assert point.cache_stats["hits"] == device.cache_hits
         assert point.cache_stats["misses"] == device.cache_misses
         assert point.cache_stats.get("num_evictions", 0) == cache.num_evictions
+
+
+class TestProbeLane:
+    """``batch_latency_seconds`` costs one cache lookup and counts like ``execute``."""
+
+    _CALLS = [
+        ("probe", [100, 40, 70]),
+        ("execute", [40, 70, 100]),
+        ("probe", [33]),
+        ("probe", [90, 90, 17]),
+        ("execute", [33]),
+        ("probe", [128, 1]),
+        ("execute", [17, 90, 90]),
+        ("probe", [64, 65, 66, 67]),
+        ("execute", [1, 128]),
+        ("probe", [100, 40, 70]),
+        ("execute", [66, 64, 67, 65]),
+        ("probe", [5]),
+    ]
+
+    @staticmethod
+    def _replay(accelerator, scheduler, bucket, max_entries, lane):
+        device = CycleAccurateDevice(
+            accelerator,
+            scheduler=scheduler,
+            cache_length_bucket=bucket,
+            schedule_cache=ScheduleCache(max_entries=max_entries),
+        )
+        latencies = []
+        for kind, lengths in TestProbeLane._CALLS:
+            if kind == "probe" and lane:
+                latencies.append(device.batch_latency_seconds(lengths))
+            else:
+                latencies.append(device.execute(lengths).latency_seconds)
+        probes = device.schedule_cache_probes()
+        return {
+            "latencies": latencies,
+            "hits": device.cache_hits,
+            "misses": device.cache_misses,
+            "stats": device.schedule_cache_stats(),
+            "digests": None if probes is None else [digest for _, digest in probes],
+            "shared": device.describe()["schedule_cache"]["shared"],
+        }
+
+    @pytest.mark.parametrize(
+        "scheduler",
+        [LengthAwareScheduler(), PaddedScheduler(pad_to=128), PaddedScheduler(pad_to=None)],
+        ids=["length-aware", "padded-128", "padded-max"],
+    )
+    @pytest.mark.parametrize("bucket", [None, 16], ids=["exact", "bucket16"])
+    @pytest.mark.parametrize("max_entries", [4096, 2], ids=["roomy", "evicting"])
+    @pytest.mark.parametrize("cache", ["on", "off"])
+    def test_mixed_probes_equal_an_execute_only_replay(
+        self, accelerator, monkeypatch, scheduler, bucket, max_entries, cache
+    ):
+        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", cache)
+        mixed = self._replay(accelerator, scheduler, bucket, max_entries, lane=True)
+        replay = self._replay(accelerator, scheduler, bucket, max_entries, lane=False)
+        assert mixed == replay
+        if cache == "off":
+            assert mixed["digests"] is None and mixed["hits"] == mixed["misses"] == 0
+        else:
+            assert len(mixed["digests"]) == len(self._CALLS)
+            if max_entries == 2:
+                assert mixed["shared"]["num_evictions"] > 0
+
+    def test_probe_stamps_interleave_with_execute_stamps(self, accelerator):
+        device = _device(accelerator)
+        device.batch_latency_seconds([80, 40])
+        device.execute([40, 80])
+        device.batch_latency_seconds([32])
+        stamps = [stamp for stamp, _ in device.schedule_cache_probes()]
+        assert len(stamps) == 3 and stamps == sorted(stamps)
+
+    def test_non_positive_latency_still_raises(self, accelerator):
+        class ZeroSchedule:
+            makespan_seconds = 0.0
+            average_utilization = 0.0
+
+            def sequence_completion_cycles(self):
+                return [0] * 4
+
+            def entry_admit_cycles(self):
+                return 0
+
+        class Broken:
+            name = "broken"
+            cache_canonicalization = "sort-desc"
+
+            def schedule(self, acc, lengths):
+                return ZeroSchedule()
+
+        for lane in ("batch_latency_seconds", "execute"):
+            device = CycleAccurateDevice(
+                accelerator, scheduler=Broken(), schedule_cache=ScheduleCache()
+            )
+            with pytest.raises(ValueError, match="latency_seconds must be > 0"):
+                getattr(device, lane)([40, 30])
+
+
+class TestKeyMemo:
+    def test_replicas_sharing_an_accelerator_share_key_memo(self, accelerator):
+        cache = ScheduleCache()
+        first = _device(accelerator, schedule_cache=cache)
+        second = _device(accelerator, schedule_cache=cache)
+        first.batch_latency_seconds([90, 60])
+        second.batch_latency_seconds([60, 90])
+        assert len(cache._keys) == 1
+        assert (first.cache_misses, second.cache_hits) == (1, 1)
+
+    def test_memo_is_bounded_and_cleared_with_the_cache(self, accelerator):
+        cache = ScheduleCache(max_entries=2)
+        device = _device(accelerator, schedule_cache=cache)
+        for length in (10, 20, 30, 40):
+            device.batch_latency_seconds([length])
+        assert len(cache._keys) == 2
+        cache.clear()
+        assert len(cache._keys) == 0 and len(cache) == 0
+
+    def test_memoized_key_equals_a_fresh_build(self, accelerator):
+        cache = ScheduleCache()
+        device = CycleAccurateDevice(
+            accelerator, scheduler=PaddedScheduler(pad_to=128), schedule_cache=cache
+        )
+        device.batch_latency_seconds([70, 20])
+        ((design, canonical), key), = cache._keys.items()
+        assert canonical == (70, 20)
+        assert key == device._cache_key(canonical)

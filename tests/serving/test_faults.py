@@ -17,14 +17,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import build_device, build_fleet
 from repro.faults import (
     CrashRestartFaults,
+    DeviceFaultTimeline,
     FaultInjector,
     ScriptedFaults,
     StragglerFaults,
     ThermalThrottleFaults,
+    compose_timelines,
     get_fault_schedule,
 )
 from repro.serving import (
@@ -95,6 +99,75 @@ class TestZeroFaultIdentity:
             assert record.request.arrival_time == twin.arrival_time
             assert record.request.length == twin.length
         assert crashy_arrivals  # the crashy run did complete work
+
+
+class _ListTimeline(DeviceFaultTimeline):
+    """Given offline windows, generated lazily: only those opening by ``until``."""
+
+    def __init__(self, windows: list[tuple[float, float]]) -> None:
+        super().__init__()
+        self._pending = list(windows)
+
+    def _extend(self, until: float) -> None:
+        while self._pending and self._pending[0][0] <= until:
+            self._windows.append(self._pending.pop(0))
+
+
+def _windows(spans: list[tuple[int, int]]) -> list[tuple[float, float]]:
+    """Ordered, non-overlapping windows from (gap, downtime) pairs (gap 0 abuts).
+
+    The first window opens after 0, where a lazy timeline's horizon starts.
+    """
+    windows, clock = [], 0.5
+    for gap, downtime in spans:
+        crash = clock + gap / 2
+        clock = crash + downtime / 2
+        windows.append((crash, clock))
+    return windows
+
+
+def _scan_next_online(windows: list[tuple[float, float]], t: float) -> float:
+    """Brute force: step past any window covering the instant until none does."""
+    online, moved = t, True
+    while moved:
+        moved = False
+        for crash, recover in windows:
+            if crash <= online < recover:
+                online, moved = recover, True
+    return online
+
+
+_SPANS = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)), max_size=8)
+#: Queries (non-monotone) interleaved with generation pushed ahead of them.
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(["query", "grow"]), st.integers(-2, 120).map(lambda x: x / 2)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestNextOnlineMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(spans=_SPANS, steps=_STEPS)
+    def test_base_timeline_matches_a_full_scan(self, spans, steps):
+        windows = _windows(spans)
+        timeline = _ListTimeline(windows)
+        for op, t in steps:
+            if op == "grow":
+                timeline.crashes_before(t)  # generates windows past any memo
+            else:
+                assert timeline.next_online(t) == _scan_next_online(windows, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=_SPANS, second=_SPANS, steps=_STEPS)
+    def test_composite_timeline_matches_a_full_scan(self, first, second, steps):
+        a, b = _windows(first), _windows(second)
+        timeline = compose_timelines([_ListTimeline(a), _ListTimeline(b)])
+        for op, t in steps:
+            if op == "grow":
+                timeline.crashes_before(t)
+            else:
+                assert timeline.next_online(t) == _scan_next_online(a + b, t)
 
 
 class TestScheduleDeterminism:

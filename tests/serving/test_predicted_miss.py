@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.decode import simulate_decode_online
-from repro.devices import build_fleet
+from repro.devices import GLOBAL_SCHEDULE_CACHE, build_fleet
+from repro.faults import ScriptedFaults
 from repro.serving import (
     FixedSizeBatcher,
     PoissonArrivals,
@@ -13,6 +15,8 @@ from repro.serving import (
     SLOSpec,
     simulate_online,
 )
+from repro.serving.policies import _TIME_EPS
+from repro.serving.slo import PredictedMissGate
 
 _FLEET = ("gpu-rtx6000",)
 
@@ -130,3 +134,81 @@ class TestPredictedMissShedding:
         )
         assert report.num_shed_predicted == 8
         assert report.num_completed == 8
+
+
+def _reference_late(fleet, estimates, queue, now):
+    """The per-request provable-miss check: every device's start, read per request."""
+    late = []
+    for request in queue:
+        if request.deadline is None:
+            continue
+        for index, device in enumerate(fleet):
+            key = (index, request.length)
+            if key not in estimates:
+                estimates[key] = device.batch_latency_seconds([request.length])
+            if device.next_start(now) + estimates[key] <= request.deadline + _TIME_EPS:
+                break
+        else:
+            late.append(request)
+    return late
+
+
+class TestOnePassGate:
+    """``late_requests`` over a queue equals asking request by request."""
+
+    @staticmethod
+    def _gated_fleet():
+        """sparse / baseline FPGA + GPU with staggered backlogs and one outage."""
+        fleet = build_fleet(("sparse-fpga", "baseline-fpga", "gpu-rtx6000"), dataset="mrpc")
+        probes = []
+        for index, device in enumerate(fleet):
+            device.book_interval(0.0, 0.001 * (index + 1))
+
+            def recorded(lengths, _index=index, _probe=device.batch_latency_seconds):
+                probes.append((_index, tuple(lengths)))
+                return _probe(lengths)
+
+            device.batch_latency_seconds = recorded
+        outage = ScriptedFaults(crashes=((0, 0.002, 0.004),))
+        fleet[0].bind_fault_timeline(outage.build_timeline(0, seed=0))
+        return fleet, probes
+
+    def test_one_pass_sheds_and_probes_like_per_request_checks(self):
+        rng = np.random.default_rng(11)
+        queue = [
+            Request(
+                request_id=i,
+                length=int(rng.integers(8, 104)),
+                arrival_time=0.0,
+                deadline=None if i % 9 == 0 else float(rng.uniform(0.0, 0.08)),
+            )
+            for i in range(60)
+        ]
+        outcomes = []
+        for one_pass in (True, False):
+            GLOBAL_SCHEDULE_CACHE.clear()
+            fleet, probes = self._gated_fleet()
+            gate, estimates = PredictedMissGate(fleet), {}
+            shed = []
+            for now in (0.0, 0.003, 0.008, 0.02):
+                if one_pass:
+                    late = gate.late_requests(queue, now)
+                else:
+                    late = _reference_late(fleet, estimates, queue, now)
+                shed.append([r.request_id for r in late])
+                if one_pass:
+                    assert [r for r in queue if gate.predicted_miss(r, now)] == late
+            counters = [
+                (device.cache_hits, device.cache_misses)
+                for device in fleet
+                if device.schedule_cache_stats() is not None
+            ]
+            outcomes.append((shed, probes, counters))
+        one_pass, per_request = outcomes
+        assert one_pass == per_request
+        shed, probes, _ = one_pass
+        assert 0 < len(shed[0]) < len(shed[-1]) < len(queue)  # the gate discriminates
+        assert {index for index, _ in probes} == {0, 1, 2}  # every backend is asked
+        # Some requests stop at the first device: a min over the fleet would
+        # probe more than the per-request check does.
+        assert len(probes) < 3 * len({length for _, (length,) in probes})

@@ -163,6 +163,23 @@ class TestCommands:
         assert backends == {"cycle-accurate", "analytical"}
         assert payload["result"]["devices"] == ["sparse-fpga", "gpu-rtx6000"]
 
+    def test_serve_priced_run_with_no_completions_renders(self, capsys):
+        """A priced run that completes nothing has no average price: n/a."""
+        assert main(
+            [
+                "serve",
+                "--qps", "400",
+                "--requests", "32",
+                "--devices", "gpu-rtx6000",
+                "--slo-ms", "5",
+                "--shed-on-predicted-miss",
+                "--autoscaler", "queue-depth",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "shed at arrival (predicted miss) : 32" in out
+        assert "avg fleet price (USD/hr)         : n/a" in out
+
     def test_serve_rejects_unknown_device(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--devices", "tpu-v9", "--qps", "100", "--requests", "8"])
